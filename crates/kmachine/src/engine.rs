@@ -63,6 +63,7 @@ use cdrw_core::{
 };
 use cdrw_graph::{Graph, SubCsr, VertexId};
 use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, WalkEvidence};
+use cdrw_walk::shard::merge_runs_by_key;
 use cdrw_walk::{WalkEngine, WalkWorkspace};
 
 use crate::chaos::{ChaosHarness, FaultPlan};
@@ -662,7 +663,8 @@ impl<'g, 'l> Coordinator<'g, 'l> {
 
         let k = self.links.num_shards();
         let mut measured = 0u64;
-        let mut gathered: Vec<Vec<(VertexId, f64)>> = vec![Vec::new(); lanes.len()];
+        // Per lane slot, one ascending support per shard.
+        let mut gathered: Vec<Vec<Vec<(VertexId, f64)>>> = vec![Vec::new(); lanes.len()];
         let mut done = vec![false; k];
         let mut late = vec![false; k];
         // Shards heard from (any message) since the current timeout streak
@@ -696,7 +698,7 @@ impl<'g, 'l> Coordinator<'g, 'l> {
                         for (slot, state) in shard_lanes.into_iter().enumerate() {
                             debug_assert_eq!(state.lane, lanes[slot]);
                             measured += state.emitted_messages;
-                            gathered[slot].extend(state.support);
+                            gathered[slot].push(state.support);
                         }
                     } else {
                         // A replay or a chaos duplicate: charged to the fault
@@ -770,10 +772,14 @@ impl<'g, 'l> Coordinator<'g, 'l> {
                 }
             }
         }
-        for (slot, mut support) in gathered.into_iter().enumerate() {
-            // Shard supports are disjoint (each vertex has one home), so an
-            // unstable sort by vertex is deterministic.
-            support.sort_unstable_by_key(|&(v, _)| v);
+        let mut support = Vec::new();
+        for (slot, shard_supports) in gathered.iter().enumerate() {
+            // Each shard's support is ascending and the shards' supports are
+            // disjoint (each vertex has one home): merging them by vertex
+            // yields the global support in order.
+            let runs: Vec<&[(VertexId, f64)]> = shard_supports.iter().map(Vec::as_slice).collect();
+            support.clear();
+            merge_runs_by_key(&runs, |&(v, _)| v, |&entry| support.push(entry));
             self.lanes[lanes[slot] as usize]
                 .load_sparse(&support)
                 .expect("gathered support is in range");

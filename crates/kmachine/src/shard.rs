@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use cdrw_graph::{SubCsr, VertexId};
-use cdrw_walk::shard::{absorb_step_deltas, emit_step_deltas, sort_step_deltas, MassDelta};
+use cdrw_walk::shard::{absorb_step_runs, emit_step_deltas, MassDelta};
 use cdrw_walk::WalkWorkspace;
 
 use crate::transport::{LaneDeltas, LaneState, Message, Peer, Transport, TransportError};
@@ -491,27 +491,19 @@ impl<'a> ShardWorker<'a> {
             }
         }
 
-        // Absorb per lane: collect this lane's deltas from every sender,
-        // sort into the sequential accumulation order, accumulate.
+        // Absorb per lane: every sender's bucket for the lane is one run,
+        // ascending by source, and senders own disjoint sources — merging
+        // the runs by source yields the sequential accumulation order.
         for report in &mut reports {
             let lane = report.lane;
-            let mut collected: Vec<MassDelta> = incoming
+            let runs: Vec<&[MassDelta]> = incoming
                 .iter()
-                .flat_map(|sender| {
-                    sender
-                        .iter()
-                        .filter(|ld| ld.lane == lane)
-                        .flat_map(|ld| ld.deltas.iter().copied())
-                })
+                .flat_map(|sender| sender.iter().filter(|ld| ld.lane == lane))
+                .map(|ld| ld.deltas.as_slice())
                 .collect();
-            sort_step_deltas(&mut collected);
             let ws = &mut self.lanes[lane as usize];
-            absorb_step_deltas(ws, &collected);
-            report.support = ws
-                .support()
-                .iter()
-                .map(|&v| (v, ws.probability(v)))
-                .collect();
+            absorb_step_runs(ws, &runs);
+            report.support = ws.snapshot_sparse();
         }
         transport.send(
             Peer::Coordinator,

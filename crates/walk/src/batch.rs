@@ -13,14 +13,16 @@
 //! distribution evolves **bit-identically** to a solo
 //! [`crate::WalkEngine::step`]:
 //!
-//! * the union of the sorted per-lane supports is iterated in ascending
-//!   vertex order, so each lane's contributors are processed in exactly the
+//! * the union of the per-lane supports — the OR of the lanes' bit masks,
+//!   scanned once, so no sort or dedup — is iterated in ascending vertex
+//!   order, so each lane's contributors are processed in exactly the
 //!   order its solo step would process them (union vertices outside a lane's
 //!   support carry `0.0` there and are skipped, just like the solo step skips
 //!   underflowed support entries);
 //! * accumulation into each lane's double buffer uses the same bit-masked
 //!   [`accumulate`](crate::WalkEngine::step) helper, so the per-vertex sums
-//!   are performed in the same order with the same operands.
+//!   are performed in the same order with the same operands, and each lane
+//!   reads its new support off its own mask exactly as the solo step does.
 //!
 //! Physically, each lane is struct-of-arrays: two contiguous `f64` mass
 //! planes plus a one-bit-per-vertex membership mask (see the
@@ -66,6 +68,7 @@
 use cdrw_graph::{Graph, VertexId};
 
 use crate::engine::accumulate;
+use crate::mask::append_ones;
 use crate::{WalkEngine, WalkError, WalkWorkspace};
 
 /// A bank of reusable walk workspaces stepped in lockstep by
@@ -82,8 +85,10 @@ pub struct WalkBatch {
     lanes: Vec<WalkWorkspace>,
     /// Which lanes the next [`WalkEngine::step_batch`] advances.
     active: Vec<bool>,
-    /// Scratch: sorted, deduplicated union of the active lanes' supports.
+    /// Scratch: ascending union of the active lanes' supports.
     union: Vec<VertexId>,
+    /// Scratch: the OR of the active lanes' mask words.
+    union_words: Vec<u64>,
     /// Number of vertices every lane is sized for.
     len: usize,
 }
@@ -95,6 +100,7 @@ impl WalkBatch {
             lanes: Vec::new(),
             active: Vec::new(),
             union: Vec::new(),
+            union_words: Vec::new(),
             len: n,
         }
     }
@@ -210,10 +216,12 @@ impl WalkEngine<'_> {
         );
         let laziness = self.laziness();
         let move_fraction = 1.0 - laziness;
+        let batch_len = batch.len;
         let WalkBatch {
             lanes,
             active,
             union,
+            union_words,
             ..
         } = batch;
 
@@ -229,22 +237,22 @@ impl WalkEngine<'_> {
 
         // The union of the active supports, ascending: every lane's own
         // support is a subsequence, so per-lane contributor order matches the
-        // solo step exactly.
-        union.clear();
+        // solo step exactly. Each lane's mask is its support, so the union is
+        // the OR of the live masks' words, read back in ascending order.
+        union_words.clear();
+        union_words.resize(batch_len.div_ceil(u64::BITS as usize), 0);
         for ws in live.iter() {
-            union.extend_from_slice(&ws.support);
+            for (acc, &word) in union_words.iter_mut().zip(ws.mask.words()) {
+                *acc |= word;
+            }
         }
-        union.sort_unstable();
-        union.dedup();
+        union.clear();
+        append_ones(union_words, union);
 
         // Release each live lane's outgoing mask bits (the batched analogue
         // of the solo step's up-front bit clears).
         for ws in live.iter_mut() {
-            ws.next_support.clear();
-            for i in 0..ws.support.len() {
-                let u = ws.support[i];
-                ws.mask.remove(u);
-            }
+            ws.release_support_bits();
         }
 
         for &u in union.iter() {
@@ -253,45 +261,46 @@ impl WalkEngine<'_> {
             let neighbors = graph.neighbor_slice(u);
             let row_weights = graph.weight_slice(u);
             for ws in live.iter_mut() {
-                let p = ws.current[u];
+                let WalkWorkspace {
+                    current,
+                    next,
+                    mask,
+                    ..
+                } = &mut **ws;
+                let p = current[u];
                 if p == 0.0 {
                     // Outside this lane's support — or an underflowed support
                     // entry, which the solo step also skips.
                     continue;
                 }
                 if degree == 0 {
-                    accumulate(ws, u, p);
+                    accumulate(next, mask, u, p);
                     continue;
                 }
                 if laziness > 0.0 {
-                    accumulate(ws, u, p * laziness);
+                    accumulate(next, mask, u, p * laziness);
                 }
                 let share = p * move_fraction / weighted_degree;
                 match row_weights {
                     None => {
                         for &v in neighbors {
-                            accumulate(ws, v, share);
+                            accumulate(next, mask, v, share);
                         }
                     }
                     Some(row_weights) => {
                         for (&v, &w) in neighbors.iter().zip(row_weights) {
-                            accumulate(ws, v, share * w);
+                            accumulate(next, mask, v, share * w);
                         }
                     }
                 }
             }
         }
 
+        // Same epilogue as the solo step: restore the all-zero-outside-
+        // support invariant, promote the accumulator, read the support off
+        // the mask.
         for ws in live.iter_mut() {
-            // Same epilogue as the solo step: restore the all-zero-outside-
-            // support invariant, promote the accumulator, sort the support.
-            for i in 0..ws.support.len() {
-                let u = ws.support[i];
-                ws.current[u] = 0.0;
-            }
-            std::mem::swap(&mut ws.current, &mut ws.next);
-            std::mem::swap(&mut ws.support, &mut ws.next_support);
-            ws.support.sort_unstable();
+            ws.finish_step();
         }
     }
 }

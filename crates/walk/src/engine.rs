@@ -9,13 +9,17 @@
 //! exploits the locality explicitly:
 //!
 //! * [`WalkWorkspace`] owns two length-`n` probability buffers plus the walk's
-//!   *support* (the sorted list of vertices carrying mass). All buffers are
-//!   allocated once and reused across steps — and across seeds, which is what
+//!   *support* (the ascending list of vertices carrying mass, mirrored by a
+//!   one-bit-per-vertex mask). All buffers are allocated once and reused
+//!   across steps — and across seeds, which is what
 //!   `cdrw_core::Cdrw::detect_all` does.
-//! * [`WalkEngine::step`] pushes probability only out of support vertices,
-//!   costing `O(vol(support))` instead of `O(n + m)`. Accumulation order is
-//!   identical to the dense operator, so the resulting probabilities are
-//!   bit-for-bit equal to [`crate::WalkOperator::step`].
+//! * [`WalkEngine::step`] pushes probability only out of support vertices
+//!   into a zeroed accumulator and reads the new support back off the mask
+//!   in ascending order, costing `O(vol(support) + n/64)` instead of
+//!   `O(n + m)` — no sort; the `n/64` word scan is dominated by the `O(n)`
+//!   sweep that follows every step. Accumulation order is identical to the
+//!   dense operator, so the resulting probabilities are bit-for-bit equal to
+//!   [`crate::WalkOperator::step`].
 //! * [`WalkEngine::sweep`] evaluates each candidate size `|S|` of the local
 //!   mixing sweep against a degree-sorted order of the non-support vertices
 //!   (the *tail*, filtered once per sweep from an order computed once per
@@ -40,8 +44,14 @@
 //! | path | cost per sweep |
 //! |---|---|
 //! | dense reference ([`crate::largest_mixing_set`]) | `O(n log n)` **per size** — `Θ(n² )`-ish overall |
-//! | per-size sparse sweep ([`WalkEngine::sweep_per_size`]) | `O(\|support\| log \|support\| + Σ\|S\|) ≈ O(24·n)` |
-//! | prefix scan ([`WalkEngine::sweep`]) | `O(\|support\| log \|support\| + n + sizes·log n)` |
+//! | per-size sparse sweep ([`WalkEngine::sweep_per_size`]) | `O(\|support\| + n + Σ\|S\|) ≈ O(24·n)` |
+//! | prefix scan ([`WalkEngine::sweep`]) | `O(\|support\| + n + sizes·log n)` |
+//!
+//! Neither sparse path sorts. The pass that filters the degree order into
+//! the tail also emits the support in `(weighted degree, id)` order, and a
+//! stable LSD radix pass on the affinity's bit pattern turns that into
+//! "affinity descending, then `(weighted degree, id)`" — the dense sweep's
+//! comparator order — in `O(|support|)` per radix digit that varies.
 //!
 //! The candidate *order* — and therefore every candidate prefix — is
 //! identical across all three paths by construction (same keys, same
@@ -69,12 +79,15 @@
 //! | bit-packed mask ([`WalkWorkspace`]) | 1 bit/vertex (128 KiB @ 2²⁰) | ≈ 16.1 MiB |
 //!
 //! The mass planes are unavoidable (they hold the walk), so the win is in
-//! the *bookkeeping traffic*: the membership test that decides between `+=`
-//! and `=` in the hot accumulation loop now touches 64× less memory, and at
+//! the *bookkeeping traffic*: the membership bit the hot accumulation loop
+//! sets for every touched vertex lives in 64× less memory, and at
 //! million-vertex scale the whole membership plane fits in L2 while the
 //! stamps did not fit in L3. Clearing stays `O(|support|)` (bits are
 //! cleared exactly where the support list says they are set), so the
 //! epoch trick's asymptotics are preserved without storing epochs at all.
+//! The mask also replaces the per-step support sort: after accumulation it
+//! holds exactly the new support, which one scan of its words lists in
+//! ascending order.
 //!
 //! One further (graph-side, not workspace-side) plane joined in PR 8: the
 //! optional edge-weight lane.
@@ -209,23 +222,20 @@ impl<'g> WalkEngine<'g> {
             workspace.len(),
             self.graph.num_vertices()
         );
-        let ws = workspace;
-        ws.next_support.clear();
         let move_fraction = 1.0 - self.laziness;
-        // Detach the support so accumulation can borrow the rest of the
-        // workspace mutably; the buffer is recycled below.
-        let support = std::mem::take(&mut ws.support);
-        // Release the outgoing support's mask bits so the mask is free to
-        // mark the incoming support during accumulation — O(|support|) bit
-        // clears, the mask-layout replacement for bumping an epoch.
-        for &u in &support {
-            ws.mask.remove(u);
-        }
+        workspace.release_support_bits();
+        let WalkWorkspace {
+            current,
+            next,
+            support,
+            mask,
+            ..
+        } = &mut *workspace;
         // Iterating the sorted support in ascending vertex order makes every
         // accumulation into `next[v]` happen in the same order as the dense
         // operator's `for u in 0..n` loop, so the sums are bit-identical.
-        for &u in &support {
-            let p = ws.current[u];
+        for &u in support.iter() {
+            let p = current[u];
             if p == 0.0 {
                 // Mirrors the dense operator's skip; keeps a vertex whose
                 // mass underflowed to zero out of the cost and the result.
@@ -234,11 +244,11 @@ impl<'g> WalkEngine<'g> {
             let degree = self.graph.degree(u);
             if degree == 0 {
                 // Nowhere to go: the mass stays.
-                accumulate(ws, u, p);
+                accumulate(next, mask, u, p);
                 continue;
             }
             if self.laziness > 0.0 {
-                accumulate(ws, u, p * self.laziness);
+                accumulate(next, mask, u, p * self.laziness);
             }
             // Weighted transition P(u→v) = w(u,v)/w(u); on an unweighted
             // graph `weighted_degree` is exactly `degree as f64` and the
@@ -248,32 +258,22 @@ impl<'g> WalkEngine<'g> {
             match self.graph.weight_slice(u) {
                 None => {
                     for &v in self.graph.neighbor_slice(u) {
-                        accumulate(ws, v, share);
+                        accumulate(next, mask, v, share);
                     }
                 }
                 Some(row_weights) => {
                     for (&v, &w) in self.graph.neighbor_slice(u).iter().zip(row_weights) {
-                        accumulate(ws, v, share * w);
+                        accumulate(next, mask, v, share * w);
                     }
                 }
             }
         }
-        // Zero the outgoing buffer so the all-zero-outside-support invariant
-        // holds after the swap (the old `current` becomes the next `next`).
-        for &u in &support {
-            ws.current[u] = 0.0;
-        }
-        std::mem::swap(&mut ws.current, &mut ws.next);
-        ws.support = std::mem::take(&mut ws.next_support);
-        // Push order is a merge of ascending neighbour lists, so the support
-        // is nearly sorted already; pdqsort handles this in near-linear time.
-        ws.support.sort_unstable();
-        // Recycle the old support's allocation for the next step.
-        ws.next_support = support;
+        workspace.finish_step();
     }
 
-    /// The pre-weight-lane step kernel, preserved verbatim: uniform
-    /// `1/d(u)` shares with no weight dispatch. Only valid on unweighted
+    /// The pre-weight-lane step kernel: uniform `1/d(u)` shares with no
+    /// weight dispatch, and the same support bookkeeping as
+    /// [`WalkEngine::step`]. Only valid on unweighted
     /// graphs, where it is bit-identical to [`WalkEngine::step`]; the CI
     /// perf-smoke job times the two against each other to pin the weight
     /// lane's cost on the unweighted path at ≤ 1.1× (see the module docs).
@@ -295,38 +295,34 @@ impl<'g> WalkEngine<'g> {
             workspace.len(),
             self.graph.num_vertices()
         );
-        let ws = workspace;
-        ws.next_support.clear();
         let move_fraction = 1.0 - self.laziness;
-        let support = std::mem::take(&mut ws.support);
-        for &u in &support {
-            ws.mask.remove(u);
-        }
-        for &u in &support {
-            let p = ws.current[u];
+        workspace.release_support_bits();
+        let WalkWorkspace {
+            current,
+            next,
+            support,
+            mask,
+            ..
+        } = &mut *workspace;
+        for &u in support.iter() {
+            let p = current[u];
             if p == 0.0 {
                 continue;
             }
             let degree = self.graph.degree(u);
             if degree == 0 {
-                accumulate(ws, u, p);
+                accumulate(next, mask, u, p);
                 continue;
             }
             if self.laziness > 0.0 {
-                accumulate(ws, u, p * self.laziness);
+                accumulate(next, mask, u, p * self.laziness);
             }
             let share = p * move_fraction / degree as f64;
             for &v in self.graph.neighbor_slice(u) {
-                accumulate(ws, v, share);
+                accumulate(next, mask, v, share);
             }
         }
-        for &u in &support {
-            ws.current[u] = 0.0;
-        }
-        std::mem::swap(&mut ws.current, &mut ws.next);
-        ws.support = std::mem::take(&mut ws.next_support);
-        ws.support.sort_unstable();
-        ws.next_support = support;
+        workspace.finish_step();
     }
 
     /// Runs the candidate-size sweep of Algorithm 1 (lines 12–17) against the
@@ -416,7 +412,7 @@ impl<'g> WalkEngine<'g> {
     /// Shared sweep prologue: validation, the per-sweep tail (degree-sorted
     /// non-support vertices, so per-size candidate assembly never re-skips
     /// support entries), and — for the renormalised criterion — the affinity
-    /// sort of the support.
+    /// order of the support, emitted by the same degree-order pass.
     fn prepare_sweep(
         &self,
         workspace: &mut WalkWorkspace,
@@ -433,54 +429,54 @@ impl<'g> WalkEngine<'g> {
             workspace.len(),
             self.graph.num_vertices()
         );
+        let graph = self.graph;
         let degree_order = self.degree_order();
-        let ws = workspace;
-        ws.tail.clear();
+        let WalkWorkspace {
+            current,
+            mask,
+            candidates,
+            affinity,
+            tail,
+            ..
+        } = workspace;
+        tail.clear();
         // Support membership is a single bit read per vertex here (the mask
         // invariant: bit set ⟺ vertex in `support`), so this n-length filter
         // streams 1 bit of bookkeeping per vertex instead of 8 bytes.
+        if config.criterion != MixingCriterion::Renormalized {
+            for &v in degree_order {
+                if !mask.contains(v) {
+                    tail.push(v);
+                }
+            }
+            return Ok(());
+        }
+        // The affinity order of the support is shared by every candidate
+        // size of this sweep. The same pass splits the degree order into the
+        // support entries carrying mass, still in (weighted degree, id)
+        // order, and the massless rest, which scores exactly like the tail
+        // and joins it. A stable radix pass on the affinity alone then
+        // yields (affinity descending, weighted degree, id), the order the
+        // dense sweep's comparator defines, in O(|support| + n) overall.
+        affinity.clear();
         for &v in degree_order {
-            if !ws.mask.contains(v) {
-                ws.tail.push(v);
+            if mask.contains(v) && current[v] != 0.0 {
+                affinity.push((affinity_ratio(current[v], graph.weighted_degree(v)), v));
+            } else {
+                tail.push(v);
             }
         }
-        if config.criterion == MixingCriterion::Renormalized {
-            // The affinity order of the support is shared by every candidate
-            // size of this sweep; sorting it once keeps the whole sweep at
-            // O(|support| log |support|) on top of the linear scan.
-            self.sort_support_by_affinity(ws);
-        }
+        radix_sort_by_affinity(affinity, candidates);
         Ok(())
-    }
-
-    /// Sorts the support into `workspace.affinity` by descending walk
-    /// affinity `p(u)/d(u)`, ties by `(degree, id)` — the prefix order the
-    /// renormalised criterion selects candidates in.
-    ///
-    /// The comparator uses `total_cmp`: affinity ratios are never NaN by
-    /// construction ([`affinity_ratio`] maps zero mass to `0`, mass on an
-    /// isolated vertex to `+∞`, and everything else to a finite positive
-    /// quotient), so the IEEE total order agrees with the partial order on
-    /// every value that can occur, and a NaN produced by a future bug would
-    /// sort deterministically instead of silently collapsing comparisons to
-    /// `Equal`.
-    fn sort_support_by_affinity(&self, ws: &mut WalkWorkspace) {
-        let graph = self.graph;
-        ws.affinity.clear();
-        for &u in &ws.support {
-            ws.affinity
-                .push((affinity_ratio(ws.current[u], graph.weighted_degree(u)), u));
-        }
-        ws.affinity.sort_unstable_by(|&(ra, a), &(rb, b)| {
-            rb.total_cmp(&ra).then_with(|| degree_key_cmp(graph, a, b))
-        });
     }
 
     /// The renormalised sweep as a single incremental prefix scan.
     ///
     /// Every candidate set is a prefix of the same merged order (the
-    /// affinity-sorted support followed by — interleaved at zero affinity —
-    /// the degree-sorted tail), so the merge is performed once and each
+    /// support's positive affinities, descending, followed by the
+    /// zero-affinity region: the degree-ordered tail, with any support entry
+    /// whose affinity underflowed to zero spliced in at its degree
+    /// position), so the merge is performed once and each
     /// candidate size is answered from running prefix sums. Writing the
     /// per-size score `Σ_{u∈S} |p(u)/p(S) − d(u)/µ′(S)|` as a sum of its
     /// positive and negative terms splits it at the single index where the
@@ -506,76 +502,69 @@ impl<'g> WalkEngine<'g> {
         let graph = self.graph;
         let n = graph.num_vertices();
         let sizes = config.candidate_sizes(n);
-        let max_size = sizes.last().copied().unwrap_or(0);
 
         // One merge for all sizes: the same order `check_size_renormalized`
-        // rebuilds per size. Tail entries carry exactly zero mass, so the
-        // running mass only advances on support entries — skipping the
-        // `+ 0.0` keeps the prefix mass bit-identical to the per-size sum.
-        ws.merged.clear();
-        ws.merged_affinity.clear();
-        ws.cum_mass.clear();
-        ws.cum_degree.clear();
-        ws.cum_mass.push(0.0);
-        ws.cum_degree.push(0.0);
+        // rebuilds per size. The sizes end at `n` and the support entries
+        // carrying mass plus the tail are all `n` vertices, so the merge
+        // covers everything.
+        let WalkWorkspace {
+            current,
+            affinity,
+            tail,
+            scan,
+            members,
+            ..
+        } = ws;
+        scan.clear();
         let mut mass = 0.0f64;
         // Running *weighted* volume: f64 prefix sums of the weighted
         // degrees. On an unweighted graph every partial sum is an exact
         // integer below 2^53, bit-identical to the previous u64 running sum.
         let mut volume = 0.0f64;
-        let mut ai = 0usize;
-        let mut di = 0usize;
-        while ws.merged.len() < max_size {
-            let take_support = if ai < ws.affinity.len() {
-                if di >= ws.tail.len() {
-                    true
-                } else {
-                    let (ratio, u) = ws.affinity[ai];
-                    // The tail's affinity is exactly 0, so any positive
-                    // support affinity wins; a support vertex whose mass
-                    // underflowed to 0 ties and falls back to (weighted
-                    // degree, id).
-                    ratio > 0.0 || degree_key_cmp(graph, u, ws.tail[di]).is_lt()
-                }
-            } else {
-                false
-            };
-            if take_support {
-                let (ratio, u) = ws.affinity[ai];
-                ai += 1;
-                mass += ws.current[u];
-                volume += graph.weighted_degree(u);
-                ws.merged.push(u);
-                ws.merged_affinity.push(ratio);
-            } else if di < ws.tail.len() {
-                let v = ws.tail[di];
-                di += 1;
-                volume += graph.weighted_degree(v);
-                ws.merged.push(v);
-                ws.merged_affinity.push(0.0);
-            } else {
-                break;
-            }
-            ws.cum_mass.push(mass);
-            ws.cum_degree.push(volume);
+        // Positive affinities first: they beat the tail's exact zero.
+        let zero_start = affinity.partition_point(|&(ratio, _)| ratio > 0.0);
+        for &(ratio, u) in &affinity[..zero_start] {
+            mass += current[u];
+            volume += graph.weighted_degree(u);
+            scan.push(u, ratio, mass, volume);
         }
+        // The zero-affinity region is a plain run of the tail in (weighted
+        // degree, id) order. A support entry whose affinity underflowed to
+        // zero while its mass did not is spliced in at its (weighted degree,
+        // id) position, which is where the comparator puts it.
+        let mut di = 0usize;
+        for &(_, u) in &affinity[zero_start..] {
+            let run = tail[di..].partition_point(|&v| degree_key_cmp(graph, v, u).is_lt());
+            volume = scan.extend_massless(graph, &tail[di..di + run], mass, volume);
+            di += run;
+            mass += current[u];
+            volume += graph.weighted_degree(u);
+            scan.push(u, 0.0, mass, volume);
+        }
+        scan.extend_massless(graph, &tail[di..], mass, volume);
+        let PrefixScan {
+            merged,
+            affinity: merged_affinity,
+            cum_mass,
+            cum_degree,
+        } = scan;
 
         let mut best_size = 0usize;
         let mut checks = Vec::with_capacity(sizes.len());
         for size in sizes {
-            let size = size.min(ws.merged.len());
+            let size = size.min(merged.len());
             let average_volume = graph.weighted_volume() / n as f64 * size as f64;
-            let retained = ws.cum_mass[size];
+            let retained = cum_mass[size];
             let score_sum = if retained > 0.0 {
                 // Terms are positive while p(u)/w(u) ≥ p(S)/µ′(S); the prefix
                 // is sorted descending by that affinity, so the crossing is a
                 // partition point of the (never-NaN) affinity array.
                 let crossing_affinity = retained / average_volume;
-                let k = ws.merged_affinity[..size].partition_point(|&a| a >= crossing_affinity);
-                let mass_high = ws.cum_mass[k];
+                let k = merged_affinity[..size].partition_point(|&a| a >= crossing_affinity);
+                let mass_high = cum_mass[k];
                 let mass_low = retained - mass_high;
-                let vol_high = ws.cum_degree[k];
-                let vol_low = ws.cum_degree[size] - ws.cum_degree[k];
+                let vol_high = cum_degree[k];
+                let vol_low = cum_degree[size] - cum_degree[k];
                 (mass_high - mass_low) / retained + (vol_low - vol_high) / average_volume
             } else {
                 f64::INFINITY
@@ -590,13 +579,20 @@ impl<'g> WalkEngine<'g> {
                 best_size = size;
             }
         }
-        let set = if best_size > 0 {
-            let mut members = ws.merged[..best_size].to_vec();
-            members.sort_unstable();
-            Some(members)
-        } else {
-            None
-        };
+        let set = (best_size > 0).then(|| {
+            // Read the selected prefix back in ascending vertex order off a
+            // scratch mask: O(n/64 + |S|), no sort.
+            let chosen = &merged[..best_size];
+            for &v in chosen {
+                members.insert(v);
+            }
+            let mut sorted = Vec::with_capacity(best_size);
+            members.append_to(&mut sorted);
+            for &v in chosen {
+                members.remove(v);
+            }
+            sorted
+        });
         LocalMixingOutcome { set, checks }
     }
 
@@ -673,7 +669,7 @@ impl<'g> WalkEngine<'g> {
     }
 
     /// Checks the renormalised restricted-score condition for one candidate
-    /// size in `O(size)` (after the per-sweep affinity sort): the candidate
+    /// size in `O(size)` (after the per-sweep affinity order): the candidate
     /// prefix is a merge of the affinity-sorted support with the degree-order
     /// prefix of the zero-mass tail, which reproduces the dense
     /// implementation's global affinity sort exactly. Only used by the
@@ -762,19 +758,75 @@ pub(crate) fn degree_key_cmp(graph: &Graph, a: VertexId, b: VertexId) -> std::cm
         .then(a.cmp(&b))
 }
 
-/// The hot accumulation kernel: first touch of `v` this step initialises
-/// `next[v]` and records it in the incoming support; later touches add.
-/// The first-touch test is one bit read/write against the mask (the caller
-/// has already released the outgoing support's bits), against the 8-byte
-/// epoch-stamp compare of [`crate::stamp_reference`].
-#[inline]
-pub(crate) fn accumulate(ws: &mut WalkWorkspace, v: VertexId, mass: f64) {
-    if ws.mask.insert(v) {
-        ws.next[v] = mass;
-        ws.next_support.push(v);
-    } else {
-        ws.next[v] += mass;
+/// Stable LSD radix sort of `(affinity, vertex)` pairs into descending
+/// affinity order, using `scratch` as the ping-pong buffer.
+///
+/// Affinities are non-negative and never NaN ([`affinity_ratio`] yields
+/// `0`, a finite positive quotient or `+∞`), so their IEEE bit patterns
+/// order like their values and ascending `!bits` is descending affinity.
+/// Stability keeps equal affinities in their input order; fed the support
+/// in `(weighted degree, id)` order, the result is exactly the order of the
+/// comparator "affinity descending, then `(weighted degree, id)`". The key
+/// is cut into six 11-bit digits and one pass counts all six histograms; a
+/// digit on which every key agrees moves nothing and is skipped (the top
+/// one — sign and high exponent bits — nearly always is, leaving five
+/// scatter passes where 8-bit digits need seven).
+fn radix_sort_by_affinity(items: &mut Vec<(f64, VertexId)>, scratch: &mut Vec<(f64, VertexId)>) {
+    const DIGIT_BITS: usize = 11;
+    const BUCKETS: usize = 1 << DIGIT_BITS;
+    const DIGITS: usize = u64::BITS.div_ceil(DIGIT_BITS as u32) as usize;
+    let digit = |key: u64, d: usize| ((key >> (DIGIT_BITS * d)) as usize) & (BUCKETS - 1);
+    let key = |&(ratio, _): &(f64, VertexId)| !ratio.to_bits();
+    let Some(first) = items.first().map(key) else {
+        return;
+    };
+    assert!(
+        u32::try_from(items.len()).is_ok(),
+        "radix offsets are 32-bit"
+    );
+    let mut counts = [[0u32; BUCKETS]; DIGITS];
+    for item in items.iter() {
+        let k = key(item);
+        for (d, histogram) in counts.iter_mut().enumerate() {
+            histogram[digit(k, d)] += 1;
+        }
     }
+    scratch.clear();
+    scratch.resize(items.len(), (0.0, 0));
+    for (d, histogram) in counts.iter_mut().enumerate() {
+        if histogram[digit(first, d)] as usize == items.len() {
+            continue;
+        }
+        let mut offset = 0u32;
+        for slot in histogram.iter_mut() {
+            let count = *slot;
+            *slot = offset;
+            offset += count;
+        }
+        for item in items.iter() {
+            let slot = &mut histogram[digit(key(item), d)];
+            scratch[*slot as usize] = *item;
+            *slot += 1;
+        }
+        std::mem::swap(items, scratch);
+    }
+}
+
+/// The hot accumulation kernel: adds `mass` into `next[v]` and marks `v` in
+/// the incoming support's mask, with no first-touch branch.
+///
+/// `next` is all-zero when a step starts (every step zeroes the outgoing
+/// support before the buffers swap), and `0.0 + m == m` exactly for the
+/// non-negative finite masses the walk carries (edge weights are validated
+/// positive), so the first addition stores `m` just as an explicit
+/// initialisation would. The caller has already released the outgoing
+/// support's bits, so after accumulation the mask holds exactly the incoming
+/// support, which [`WalkWorkspace::finish_step`] reads back in ascending
+/// order.
+#[inline]
+pub(crate) fn accumulate(next: &mut [f64], mask: &mut BitMask, v: VertexId, mass: f64) {
+    next[v] += mass;
+    mask.insert(v);
 }
 
 /// Reusable buffers for evolving one walk distribution.
@@ -790,41 +842,93 @@ pub(crate) fn accumulate(ws: &mut WalkWorkspace, v: VertexId, mass: f64) {
 pub struct WalkWorkspace {
     /// `p_ℓ`: zero outside `support`.
     pub(crate) current: Vec<f64>,
-    /// Accumulator for `p_{ℓ+1}`; meaningful only at mask-set entries while
-    /// a step runs.
+    /// Accumulator for `p_{ℓ+1}`: all-zero between steps, so a step can add
+    /// into it without a first-touch test.
     pub(crate) next: Vec<f64>,
     /// Sorted vertices whose mask bit is set; exactly the vertices the last
     /// step touched (all of them carry the walk's remaining mass).
     pub(crate) support: Vec<VertexId>,
-    /// Support of `next` in push order while a step runs.
-    pub(crate) next_support: Vec<VertexId>,
     /// Bit-packed support membership (one bit per vertex). Invariant between
     /// operations: bit `v` is set ⟺ `v ∈ support`. A step releases the
     /// outgoing support's bits up front (`O(|support|)` word writes — the
-    /// mask-layout replacement for epoch bumping) and sets bits as
-    /// [`accumulate`] first-touches vertices, so the invariant is restored
-    /// for the incoming support by the end of the step.
+    /// mask-layout replacement for epoch bumping) and sets a bit for every
+    /// vertex [`accumulate`] touches, so by the end of the step the mask is
+    /// exactly the incoming support, which is read back from it in
+    /// ascending order.
     pub(crate) mask: BitMask,
     /// Sweep scratch: `(score, vertex)` candidate pairs (strict/adaptive
-    /// criteria) or `(probability, vertex)` merged prefixes (renormalised).
+    /// criteria), `(probability, vertex)` merged prefixes (the renormalised
+    /// per-size reference), or the ping-pong buffer of the affinity radix
+    /// sort (the renormalised prefix scan).
     candidates: Vec<(f64, VertexId)>,
-    /// Renormalised-sweep scratch: the support sorted by walk affinity
-    /// `p(u)/d(u)` descending, as `(affinity, vertex)` pairs.
+    /// Renormalised-sweep scratch: the support vertices carrying mass,
+    /// ordered by walk affinity `p(u)/d(u)` descending with ties in
+    /// `(weighted degree, id)` order, as `(affinity, vertex)` pairs.
     affinity: Vec<(f64, VertexId)>,
-    /// Per-sweep tail: the degree-sorted vertex order with the current
-    /// support filtered out, rebuilt once per sweep.
+    /// Per-sweep tail, rebuilt once per sweep in `(weighted degree, id)`
+    /// order: the vertices outside the support, plus — under the
+    /// renormalised criterion — the support entries whose mass is exactly
+    /// zero (they score like the tail there).
     tail: Vec<VertexId>,
-    /// Prefix-scan scratch (renormalised sweep): the merged candidate order
-    /// shared by every candidate size of one sweep…
+    /// Scratch membership mask for reading the selected set back in
+    /// ascending order; all-clear between sweeps.
+    members: BitMask,
+    /// Prefix-scan scratch (renormalised sweep).
+    scan: PrefixScan,
+}
+
+/// The renormalised sweep's merged candidate order, shared by every
+/// candidate size of one sweep, with its running sums.
+#[derive(Debug, Clone, Default)]
+struct PrefixScan {
+    /// The merged candidate order…
     merged: Vec<VertexId>,
     /// …its affinities (descending; exactly `0.0` on the zero-mass tail)…
-    merged_affinity: Vec<f64>,
+    affinity: Vec<f64>,
     /// …running walk mass over the merged prefix (index `i` holds the mass
     /// of the first `i` candidates)…
     cum_mass: Vec<f64>,
     /// …and running weighted volume (sum of weighted degrees) over the
     /// merged prefix — exact integer values on unweighted graphs.
     cum_degree: Vec<f64>,
+}
+
+impl PrefixScan {
+    /// Empties the scan down to its zero-length prefix.
+    fn clear(&mut self) {
+        self.merged.clear();
+        self.affinity.clear();
+        self.cum_mass.clear();
+        self.cum_degree.clear();
+        self.cum_mass.push(0.0);
+        self.cum_degree.push(0.0);
+    }
+
+    /// Appends candidate `v` with its affinity and the running sums
+    /// through it.
+    #[inline]
+    fn push(&mut self, v: VertexId, ratio: f64, mass: f64, volume: f64) {
+        self.merged.push(v);
+        self.affinity.push(ratio);
+        self.cum_mass.push(mass);
+        self.cum_degree.push(volume);
+    }
+
+    /// Appends a run of candidates carrying no mass, so the running mass
+    /// stands still across it (no `+ 0.0`); returns the running volume.
+    fn extend_massless(
+        &mut self,
+        graph: &Graph,
+        run: &[VertexId],
+        mass: f64,
+        mut volume: f64,
+    ) -> f64 {
+        for &v in run {
+            volume += graph.weighted_degree(v);
+            self.push(v, 0.0, mass, volume);
+        }
+        volume
+    }
 }
 
 impl WalkWorkspace {
@@ -839,15 +943,12 @@ impl WalkWorkspace {
             current: vec![0.0; n],
             next: vec![0.0; n],
             support: Vec::new(),
-            next_support: Vec::new(),
             mask: BitMask::with_capacity(n),
             candidates: Vec::new(),
             affinity: Vec::new(),
             tail: Vec::new(),
-            merged: Vec::new(),
-            merged_affinity: Vec::new(),
-            cum_mass: Vec::new(),
-            cum_degree: Vec::new(),
+            members: BitMask::with_capacity(n),
+            scan: PrefixScan::default(),
         }
     }
 
@@ -946,6 +1047,28 @@ impl WalkWorkspace {
             self.support.push(v);
         }
         Ok(())
+    }
+
+    /// First half of every step kernel: clears the outgoing support's mask
+    /// bits so that accumulation marks exactly the incoming support.
+    pub(crate) fn release_support_bits(&mut self) {
+        for &u in &self.support {
+            self.mask.remove(u);
+        }
+    }
+
+    /// Second half of every step kernel, after accumulation into `next`:
+    /// zeroes the outgoing support (restoring the all-zero invariant of the
+    /// buffer that becomes the next accumulator), promotes `next`, and reads
+    /// the incoming support off the mask in ascending order —
+    /// `O(n/64 + |support|)`, with no sort.
+    pub(crate) fn finish_step(&mut self) {
+        for &u in &self.support {
+            self.current[u] = 0.0;
+        }
+        std::mem::swap(&mut self.current, &mut self.next);
+        self.support.clear();
+        self.mask.append_to(&mut self.support);
     }
 
     fn clear_support(&mut self) {
@@ -1260,6 +1383,54 @@ mod tests {
         }
     }
 
+    /// The comparator the sweep sorted the support with before the radix
+    /// pass, kept as the reference order: walk affinity `p(u)/w(u)`
+    /// descending (`total_cmp`; affinities are never NaN), ties by
+    /// `(weighted degree, id)`.
+    fn reference_affinity_order(graph: &Graph, ws: &WalkWorkspace) -> Vec<(f64, VertexId)> {
+        let mut order: Vec<(f64, VertexId)> = ws
+            .support
+            .iter()
+            .map(|&u| (affinity_ratio(ws.current[u], graph.weighted_degree(u)), u))
+            .collect();
+        order.sort_unstable_by(|&(ra, a), &(rb, b)| {
+            rb.total_cmp(&ra).then_with(|| degree_key_cmp(graph, a, b))
+        });
+        order
+    }
+
+    #[test]
+    fn radix_sort_is_a_stable_descending_sort() {
+        let values = [
+            0.5,
+            f64::INFINITY,
+            0.0,
+            5e-324,
+            0.5,
+            1e-300,
+            f64::INFINITY,
+            0.0,
+            0.25,
+            5e-324,
+            f64::MAX,
+            0.5,
+        ];
+        let mut items: Vec<(f64, VertexId)> = values.iter().copied().zip(0..values.len()).collect();
+        let mut expected = items.clone();
+        // `sort_by` is stable: equal affinities keep their input order.
+        expected.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let mut scratch = Vec::new();
+        radix_sort_by_affinity(&mut items, &mut scratch);
+        assert_eq!(items, expected);
+        // Degenerate inputs: empty, and all keys equal (every pass skipped).
+        let mut empty = Vec::new();
+        radix_sort_by_affinity(&mut empty, &mut scratch);
+        assert!(empty.is_empty());
+        let mut same = vec![(0.125, 7), (0.125, 3), (0.125, 5)];
+        radix_sort_by_affinity(&mut same, &mut scratch);
+        assert_eq!(same, [(0.125, 7), (0.125, 3), (0.125, 5)]);
+    }
+
     proptest::proptest! {
         /// Under every [`MixingCriterion`], the prefix-scan sweep selects the
         /// same sets and makes the same pass/fail decisions as the per-size
@@ -1350,6 +1521,70 @@ mod tests {
                     s.size, s.score_sum, d.score_sum
                 );
             }
+        }
+
+        /// The renormalised sweep's affinity order of the support — radix
+        /// sorted, with massless entries merged in from the tail — equals
+        /// the reference comparator's order, and the whole merged candidate
+        /// order equals the dense sweep's global order, on states built to
+        /// force ties: few distinct masses, equal degrees, zero-mass support
+        /// entries, masses whose affinity underflows to zero, isolates
+        /// (affinity `+∞`) and weighted graphs.
+        #[test]
+        fn radix_affinity_order_matches_the_comparator(
+            edges in proptest::collection::vec((0usize..16, 0usize..16, 0usize..3), 1..60),
+            weighted in 0usize..2,
+            entries in proptest::collection::vec((0usize..20, 0usize..5), 0..20),
+        ) {
+            use proptest::{prop_assert_eq, prop_assume};
+
+            // Vertices 16..20 are always isolates.
+            let n = 20;
+            let clean: Vec<_> = edges.into_iter().filter(|&(u, v, _)| u != v).collect();
+            prop_assume!(!clean.is_empty());
+            let mut builder = GraphBuilder::new(n);
+            for &(u, v, w) in &clean {
+                if weighted == 1 {
+                    builder.add_weighted_edge(u, v, [0.5, 1.0, 2.0][w]).unwrap();
+                } else {
+                    builder.add_edge(u, v).unwrap();
+                }
+            }
+            let g = builder.build();
+            let masses = [0.0, 0.25, 0.5, 1e-300, 5e-324];
+            let mut state: Vec<(VertexId, f64)> =
+                entries.iter().map(|&(v, m)| (v, masses[m])).collect();
+            state.sort_by_key(|&(v, _)| v);
+            state.dedup_by_key(|&mut (v, _)| v);
+
+            let engine = WalkEngine::new(&g);
+            let mut ws = engine.workspace();
+            ws.load_sparse(&state).unwrap();
+            let config = LocalMixingConfig {
+                criterion: MixingCriterion::Renormalized,
+                min_size: 2,
+                ..LocalMixingConfig::default()
+            };
+            engine.sweep(&mut ws, &config).unwrap();
+
+            let swept: Vec<(u64, VertexId)> = ws
+                .scan
+                .merged
+                .iter()
+                .zip(&ws.scan.affinity)
+                .filter(|&(&v, _)| ws.mask.contains(v))
+                .map(|(&v, &ratio)| (ratio.to_bits(), v))
+                .collect();
+            let reference: Vec<(u64, VertexId)> = reference_affinity_order(&g, &ws)
+                .into_iter()
+                .map(|(ratio, v)| (ratio.to_bits(), v))
+                .collect();
+            prop_assert_eq!(swept, reference);
+
+            let mut global: Vec<VertexId> = g.vertices().collect();
+            let ratio = |v: VertexId| affinity_ratio(ws.current[v], g.weighted_degree(v));
+            global.sort_by(|&a, &b| ratio(b).total_cmp(&ratio(a)).then_with(|| degree_key_cmp(&g, a, b)));
+            prop_assert_eq!(&ws.scan.merged, &global);
         }
 
         /// On arbitrary graphs, laziness values, and walk lengths, the sparse

@@ -14,10 +14,12 @@
 //! a double-buffered, in-place stepper that tracks the walk's *support*
 //! (the set of vertices carrying probability mass) explicitly.
 //!
-//! * [`WalkEngine::step`] costs `O(vol(support))` — the sum of the degrees of
-//!   the support — instead of the dense `O(n + m)`. For the first `ℓ` steps
-//!   the support is contained in the radius-`ℓ` ball around the seed, so
-//!   early steps touch a tiny fraction of the graph.
+//! * [`WalkEngine::step`] costs `O(vol(support) + n/64)` — the sum of the
+//!   degrees of the support, plus one scan of the support's bit mask that
+//!   lists the new support in ascending order without a sort — instead of
+//!   the dense `O(n + m)`. For the first `ℓ` steps the support is contained
+//!   in the radius-`ℓ` ball around the seed, so early steps touch a tiny
+//!   fraction of the graph.
 //! * [`WalkEngine::sweep`] runs the candidate-size sweep of Algorithm 1
 //!   (lines 12–17) in `O(|support| + |S|)` per candidate size `|S|` for the
 //!   strict/lazy/adaptive criteria: support vertices are scored directly,
@@ -26,7 +28,8 @@
 //!   degree-sorted order precomputed once per engine. Under the
 //!   renormalised criterion the candidate sets of *all* sizes are prefixes
 //!   of one merged affinity order, so the entire sweep is a single
-//!   incremental prefix scan (`O(|support| log |support| + n)` total
+//!   incremental prefix scan (`O(|support| + n)` total, the support's
+//!   affinity order coming from a stable radix pass rather than a sort,
 //!   instead of `O(Σ|S|) ≈ 24n`; the complexity table in the [`WalkEngine`]
 //!   module docs has the before/after). The dense sweep pays `O(n)` per
 //!   size regardless of the support.
@@ -40,8 +43,9 @@
 //!   through it. Each lane is bit-identical to a solo walk (see the
 //!   [`batch`] module docs).
 //! * [`shard`] splits one step across vertex-partitioned shards as an
-//!   emit/exchange/absorb message round ([`shard::MassDelta`]) that
-//!   reconstructs the sequential accumulation order exactly — the stepping
+//!   emit/exchange/absorb message round ([`shard::MassDelta`]) whose
+//!   source-ordered merge of the incoming runs reconstructs the sequential
+//!   accumulation order exactly — the stepping
 //!   kernel of `cdrw-kmachine`'s real multi-shard execution engine.
 //! * Per-vertex bookkeeping is a bit-packed membership mask
 //!   ([`mask::BitMask`], one bit per vertex) instead of the former

@@ -438,9 +438,10 @@ fn renormalized_condition_holds(
 /// The result is never NaN: probabilities are finite and non-negative by
 /// construction, the two division-by-zero shapes (`0/0` and `p/0`) are
 /// handled explicitly above, and a finite non-negative numerator over a
-/// positive finite denominator is always an ordered float. Affinity
-/// comparators may therefore use `total_cmp` and get exactly the IEEE
-/// partial order — the sparse engine's support sort relies on this.
+/// positive finite denominator is always an ordered float, and never
+/// negative. Affinity comparators may therefore use `total_cmp` and get
+/// exactly the IEEE partial order, and the bit patterns order like the
+/// values — the sparse engine's radix pass over the support relies on this.
 pub(crate) fn affinity_ratio(probability: f64, weighted_degree: f64) -> f64 {
     if probability == 0.0 {
         0.0

@@ -134,9 +134,31 @@ impl BitMask {
         })
     }
 
+    /// Appends the set vertices to `out` in ascending order, in
+    /// `O(capacity/64 + ones)` — how the walk kernels read a fresh support
+    /// off the mask instead of sorting it.
+    pub(crate) fn append_to(&self, out: &mut Vec<VertexId>) {
+        append_ones(&self.words, out);
+    }
+
     /// The raw storage words (bit `v % 64` of word `v / 64` is vertex `v`).
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+}
+
+/// Appends the positions of the set bits of `words` (bit `v % 64` of word
+/// `v / 64` is vertex `v`) to `out` in ascending order. Lets callers scan a
+/// combination of masks (e.g. the OR of several lanes' words) without
+/// materialising it as a [`BitMask`].
+pub(crate) fn append_ones(words: &[u64], out: &mut Vec<VertexId>) {
+    for (i, &word) in words.iter().enumerate() {
+        let base = i * WORD_BITS;
+        let mut w = word;
+        while w != 0 {
+            out.push(base + w.trailing_zeros() as usize);
+            w &= w - 1; // drop the lowest set bit
+        }
     }
 }
 
@@ -215,6 +237,9 @@ mod tests {
             // Aggregate views agree with the model exactly.
             let model_set: Vec<usize> = (0..capacity).filter(|&v| reference[v]).collect();
             prop_assert_eq!(mask.iter().collect::<Vec<_>>(), model_set.clone());
+            let mut appended = vec![usize::MAX];
+            mask.append_to(&mut appended);
+            prop_assert_eq!(&appended[1..], model_set.as_slice());
             prop_assert_eq!(mask.count_ones(), model_set.len());
             for (v, &set) in reference.iter().enumerate() {
                 prop_assert_eq!(mask.contains(v), set);
