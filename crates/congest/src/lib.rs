@@ -18,11 +18,12 @@
 //!   BFS-tree construction, broadcast and convergecast over the tree — are
 //!   implemented as node programs and verified (rounds = tree depth,
 //!   messages = what the textbook analysis predicts).
-//! * the runner ([`CongestCdrw`]) — the distributed CDRW driver. It executes the same decision
-//!   logic as `cdrw-core` (so the detected communities are *identical* to the
-//!   sequential algorithm — an integration test asserts this) while charging
-//!   every operation the cost the CONGEST execution would incur, using the
-//!   cost model validated by the `network` layer:
+//! * the runner ([`CongestCdrw`]) — the distributed CDRW driver. It runs
+//!   `cdrw-core`'s one pipeline on a pricing executor (so the detection
+//!   result is *identical* to the sequential algorithm's — an integration
+//!   test asserts whole-result equality) that charges every step, sweep and
+//!   coordination event the cost the CONGEST execution would incur, using
+//!   the cost model validated by the `network` layer:
 //!
 //!   | operation | rounds | messages |
 //!   |---|---|---|

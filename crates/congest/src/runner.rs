@@ -1,15 +1,32 @@
-//! The distributed CDRW runner: sequential decisions, CONGEST costs.
+//! The distributed CDRW runner: the one `cdrw-core` pipeline, CONGEST costs.
+//!
+//! [`CongestCdrw`] runs [`cdrw_core::Pipeline`] on a pricing executor: a
+//! [`LocalExecutor`] whose every step, sweep and coordination event is
+//! charged with the CONGEST primitives of [`crate::primitives`]. Decisions
+//! come from the same code as [`cdrw_core::Cdrw`]'s, so the
+//! [`DetectionResult`] is equal to the sequential one (traces included);
+//! only the cost ledger is added.
+//!
+//! | pipeline point | charge |
+//! |---|---|
+//! | detection start (non-isolated seed) | BFS tree of depth `O(log n)` from the seed |
+//! | walk step, per stepped lane | one flooding round off the lane's pre-step support |
+//! | sweep, per candidate size checked | one binary-search aggregation (plus a wave pair for mass-calibrated criteria) |
+//! | base walk done | membership broadcast |
+//! | follow-ups selected | affinity convergecast + pick broadcast |
+//! | walk vote | membership broadcast |
+//! | quorum announced | one broadcast |
+//! | assembly start | global BFS tree, one claim convergecast per detection, group broadcast |
+//! | assembly end | three waves per re-seeded group, two reconciliation waves, one round per absorption wave |
 
 use cdrw_core::assembly::AssemblyReport;
-use cdrw_core::DetectionResult;
 use cdrw_core::{
-    assembly, shuffled_seed_pool, AssemblyPolicy, Cdrw, CdrwConfig, CdrwError, CommunityDetection,
-    GrowthTracker,
+    Cdrw, CdrwConfig, CdrwError, CommunityDetection, DetectionResult, LocalExecutor, Pipeline,
+    PipelineEvent, WalkExecutor,
 };
 use cdrw_graph::traversal::BfsTree;
 use cdrw_graph::{Graph, VertexId};
-use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, WalkEvidence};
-use cdrw_walk::{WalkBatch, WalkEngine, WalkWorkspace};
+use cdrw_walk::{LocalMixingConfig, LocalMixingOutcome, WalkWorkspace};
 use serde::{Deserialize, Serialize};
 
 use crate::primitives::{
@@ -137,16 +154,11 @@ impl CongestReport {
     }
 }
 
-/// A charged walk's outcome: the detected members, the mixing margin of the
-/// returned set, and — when tracking was requested — the last
-/// community-scale mixing set the walk passed through.
-type ChargedWalkOutcome = (Vec<VertexId>, f64, Option<(Vec<VertexId>, f64)>);
-
 /// Distributed CDRW in the CONGEST model.
 ///
-/// Executes exactly the decision logic of [`cdrw_core::Cdrw`] (the detected
-/// communities are identical for the same configuration) and charges the
-/// CONGEST cost of every step using the primitives of [`crate::primitives`].
+/// Runs the decision logic of [`cdrw_core::Cdrw`] (the detection result is
+/// identical for the same configuration) and charges the CONGEST cost of
+/// every step using the primitives of [`crate::primitives`].
 #[derive(Debug, Clone)]
 pub struct CongestCdrw {
     config: CongestConfig,
@@ -174,316 +186,14 @@ impl CongestCdrw {
         graph: &Graph,
         seed: VertexId,
     ) -> Result<(CommunityDetection, CommunityCost), CdrwError> {
-        let algorithm = &self.config.algorithm;
-        algorithm.validate()?;
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        graph.check_vertex(seed)?;
-        let delta = algorithm.resolve_delta(graph)?;
-        let engine = WalkEngine::lazy(graph, algorithm.criterion.laziness());
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        let mut evidence = WalkEvidence::for_graph_if(algorithm.ensemble.is_ensemble(), graph);
-        self.detect_with_delta(
-            &engine,
-            &mut workspace,
-            &mut batch,
-            &mut evidence,
-            seed,
-            delta,
-            false,
-        )
-    }
-
-    /// One walk of Algorithm 1's inner loop with CONGEST charging: flooding
-    /// rounds per step, one binary-search aggregation per size check (plus
-    /// the mass convergecast pair for calibrated criteria). The stopping
-    /// decisions run through the same [`GrowthTracker`] as the sequential
-    /// `Cdrw`, including the `stop_floor` the ensemble path raises for
-    /// follow-up walks and the `bounded_cap` tracking of the last
-    /// community-scale mixing set, so the detected sets stay identical.
-    #[allow(clippy::too_many_arguments)]
-    fn charged_walk(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        tree: &BfsTree,
-        seed: VertexId,
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: Option<usize>,
-        cost: &mut CostAccount,
-        flood: &mut CostAccount,
-        walk_steps: &mut usize,
-        size_checks: &mut usize,
-    ) -> Result<ChargedWalkOutcome, CdrwError> {
-        let algorithm = &self.config.algorithm;
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mixing_config = algorithm.local_mixing_config(n);
-        let max_length = algorithm.max_walk_length(n);
-        let bs_iterations = binary_search_iterations(n);
-        // The renormalised and adaptive criteria need an extra convergecast
-        // per size check (the retained mass p(S) the scores are calibrated
-        // with); strict and lazy need only the score aggregation itself.
-        let aggregations_per_check = algorithm.criterion.aggregations_per_size_check();
-
-        workspace.load_point_mass(seed)?;
-        let mut tracker = GrowthTracker::new(stop_floor, delta, bounded_cap);
-        for _ in 1..=max_length {
-            // Lines 9–11: one round of probability flooding. The message
-            // count reads the support straight off the workspace.
-            let step_cost = sparse_walk_step_cost(graph, workspace);
-            cost.absorb(step_cost);
-            flood.absorb(step_cost);
-            engine.step(workspace);
-            *walk_steps += 1;
-
-            // Lines 12–17: the candidate-size sweep. Each size requires one
-            // binary-search aggregation through the BFS tree; criteria that
-            // calibrate against the retained mass p(S) additionally need one
-            // broadcast (the candidate indicator) plus one convergecast (the
-            // mass sum) per check.
-            let outcome = engine.sweep(workspace, &mixing_config)?;
-            *size_checks += outcome.sizes_checked();
-            for _ in 0..outcome.sizes_checked() {
-                cost.absorb(binary_search_cost(tree, bs_iterations));
-                for _ in 1..aggregations_per_check {
-                    cost.absorb(tree_wave_cost(tree));
-                    cost.absorb(tree_wave_cost(tree));
-                }
-            }
-            if tracker.observe_outcome(graph, seed, outcome, mixing_config.threshold) {
-                break;
-            }
-        }
-        Ok(tracker.conclude(graph, seed))
-    }
-
-    /// The batched counterpart of [`CongestCdrw::charged_walk`]: one walk per
-    /// seed, stepped in lockstep through the [`WalkBatch`] so the CSR is
-    /// traversed once per step for all of them. Every charge a solo walk
-    /// would absorb is absorbed per lane — the per-step flooding cost reads
-    /// each lane's own support before the step, sweeps are charged per lane,
-    /// and a stopped lane charges nothing further — so the totals are
-    /// identical to walking the seeds one at a time (batching is a
-    /// physical-machine optimisation, not a message-complexity change).
-    #[allow(clippy::too_many_arguments)]
-    fn charged_walks_batched(
-        &self,
-        engine: &WalkEngine<'_>,
-        batch: &mut WalkBatch,
-        tree: &BfsTree,
-        seeds: &[VertexId],
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: usize,
-        cost: &mut CostAccount,
-        flood: &mut CostAccount,
-        walk_steps: &mut usize,
-        size_checks: &mut usize,
-    ) -> Result<Vec<ChargedWalkOutcome>, CdrwError> {
-        let algorithm = &self.config.algorithm;
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mixing_config = algorithm.local_mixing_config(n);
-        let max_length = algorithm.max_walk_length(n);
-        let bs_iterations = binary_search_iterations(n);
-        let aggregations_per_check = algorithm.criterion.aggregations_per_size_check();
-
-        batch.load_point_masses(seeds)?;
-        let mut trackers: Vec<GrowthTracker> = seeds
-            .iter()
-            .map(|_| GrowthTracker::new(stop_floor, delta, Some(bounded_cap)))
-            .collect();
-        for _ in 1..=max_length {
-            if batch.active_lanes() == 0 {
-                break;
-            }
-            // Each active lane's flooding round is charged off its own
-            // support, exactly as its solo walk would be.
-            for lane in 0..seeds.len() {
-                if batch.is_active(lane) {
-                    let step_cost = sparse_walk_step_cost(graph, batch.lane(lane));
-                    cost.absorb(step_cost);
-                    flood.absorb(step_cost);
-                    *walk_steps += 1;
-                }
-            }
-            engine.step_batch(batch);
-            for (lane, &walk_seed) in seeds.iter().enumerate() {
-                if !batch.is_active(lane) {
-                    continue;
-                }
-                let outcome = engine.sweep(batch.lane_mut(lane), &mixing_config)?;
-                *size_checks += outcome.sizes_checked();
-                for _ in 0..outcome.sizes_checked() {
-                    cost.absorb(binary_search_cost(tree, bs_iterations));
-                    for _ in 1..aggregations_per_check {
-                        cost.absorb(tree_wave_cost(tree));
-                        cost.absorb(tree_wave_cost(tree));
-                    }
-                }
-                if trackers[lane].observe_outcome(
-                    graph,
-                    walk_seed,
-                    outcome,
-                    mixing_config.threshold,
-                ) {
-                    batch.set_active(lane, false);
-                }
-            }
-        }
-        Ok(trackers
-            .into_iter()
-            .zip(seeds)
-            .map(|(tracker, &walk_seed)| tracker.conclude(graph, walk_seed))
-            .collect())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn detect_with_delta(
-        &self,
-        engine: &WalkEngine<'_>,
-        workspace: &mut WalkWorkspace,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-        record_claims: bool,
-    ) -> Result<(CommunityDetection, CommunityCost), CdrwError> {
-        let algorithm = &self.config.algorithm;
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let mut cost = CostAccount::new();
-        let mut flood = CostAccount::new();
-        let mut walk_steps = 0usize;
-        let mut size_checks = 0usize;
-
-        // A zero-degree seed is its own community and needs no communication
-        // at all — mirrors `cdrw_core::Cdrw`'s short-circuit exactly.
-        if graph.degree(seed) == 0 {
-            let detection = CommunityDetection {
-                seed,
-                members: vec![seed],
-                trace: Default::default(),
-            };
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, 0.0)?;
-            }
-            let community_cost = CommunityCost {
-                seed,
-                community_size: 1,
-                walks: 1,
-                walk_steps: 0,
-                size_checks: 0,
-                cost,
-                flood,
-            };
-            return Ok((detection, community_cost));
-        }
-
-        // Algorithm 1, line 5: BFS tree of depth O(log n) from the seed.
-        let (tree, bfs_cost) = bfs_tree_cost(graph, seed, self.config.bfs_depth(n))?;
-        cost.absorb(bfs_cost);
-
-        let base_floor = algorithm.min_stop_size(n);
-        let (mut members, base_margin, _) = self.charged_walk(
-            engine,
-            workspace,
-            &tree,
-            seed,
-            delta,
-            base_floor,
-            None,
-            &mut cost,
-            &mut flood,
-            &mut walk_steps,
-            &mut size_checks,
-        )?;
-        // Line 17: announce membership of the final community (for an
-        // ensemble, of the base walk's set — the first round of votes).
-        cost.absorb(membership_broadcast_cost(&tree));
-        let mut walks = 1usize;
-
-        if record_claims || algorithm.ensemble.is_ensemble() {
-            // The base walk's claim opens the accumulator epoch — for the
-            // ensemble's vote tally, for the pooled assembly's claims, or
-            // both. No extra communication: the membership broadcast above
-            // already carried the set.
-            evidence.begin();
-            evidence.record_walk(&members, base_margin)?;
-        }
-        if algorithm.ensemble.is_ensemble() {
-            // Section V's parallel extension, turned inward: the follow-up
-            // walks are extra CDRW walks on the same BFS tree, run in
-            // lockstep through the walk batch (identical decisions and
-            // charges to walking them one at a time). Selecting their seeds
-            // costs one affinity convergecast up the tree plus one broadcast
-            // announcing the picks.
-            cost.absorb(tree_wave_cost(&tree));
-            cost.absorb(tree_wave_cost(&tree));
-            let followups = select_interior_seeds(
-                graph,
-                workspace,
-                &members,
-                seed,
-                algorithm.ensemble.walks() - 1,
-            );
-            let escalated_floor = base_floor.max(members.len() + 1);
-            let answers = self.charged_walks_batched(
-                engine,
-                batch,
-                &tree,
-                &followups,
-                delta,
-                escalated_floor,
-                n / 2,
-                &mut cost,
-                &mut flood,
-                &mut walk_steps,
-                &mut size_checks,
-            )?;
-            for (set, margin, bounded) in answers {
-                // Each follow-up walk announces its voted set over the tree —
-                // the vote round that lets every vertex tally its own count
-                // locally.
-                cost.absorb(membership_broadcast_cost(&tree));
-                // The voting rule is shared with the sequential ensemble
-                // (`community_scale_vote`), so the two drivers cannot drift.
-                if let Some((set, margin)) = community_scale_vote(set, margin, bounded, n / 2) {
-                    evidence.record_walk(&set, margin)?;
-                }
-                walks += 1;
-            }
-            // The effective quorum is announced down the tree; each vertex
-            // then decides membership from its local tally, so the consensus
-            // itself costs no further communication.
-            cost.absorb(tree_wave_cost(&tree));
-            let quorum = algorithm.ensemble.quorum().min(evidence.walks_recorded());
-            members = evidence.consensus_with(quorum as u32, &members);
-        }
-
-        let detection = CommunityDetection {
-            seed,
-            members,
-            trace: Default::default(),
-        };
-        let community_cost = CommunityCost {
-            seed,
-            community_size: detection.members.len(),
-            walks,
-            walk_steps,
-            size_checks,
-            cost,
-            flood,
-        };
-        Ok((detection, community_cost))
+        let pipeline = Pipeline::open(&self.config.algorithm, graph, Some(seed))?;
+        let mut pricer = CongestPricer::new(&self.config, graph, &pipeline);
+        let detection = pipeline.detect(&mut pricer, &mut pipeline.evidence(), seed)?;
+        let cost = pricer
+            .per_community
+            .pop()
+            .expect("a finished detection has its cost");
+        Ok((detection, cost))
     }
 
     /// Detects all communities (the pool loop) and reports aggregate CONGEST
@@ -493,205 +203,231 @@ impl CongestCdrw {
     ///
     /// Same conditions as [`cdrw_core::Cdrw::detect_all`].
     pub fn detect_all(&self, graph: &Graph) -> Result<CongestReport, CdrwError> {
-        let algorithm = &self.config.algorithm;
-        algorithm.validate()?;
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        let delta = algorithm.resolve_delta(graph)?;
-        let n = graph.num_vertices();
-        let pool = shuffled_seed_pool(n, algorithm.seed);
-        let mut in_pool = vec![true; n];
-
-        // Same reuse discipline as the sequential `Cdrw::detect_all`: one
-        // engine, one workspace, one walk batch and one evidence accumulator
-        // for every seed.
-        let pooling = algorithm.assembly.is_pooled();
-        let engine = WalkEngine::lazy(graph, algorithm.criterion.laziness());
-        let mut workspace = engine.workspace();
-        let mut batch = WalkBatch::for_graph(graph);
-        let mut evidence =
-            WalkEvidence::for_graph_if(algorithm.ensemble.is_ensemble() || pooling, graph);
-
-        let mut detections: Vec<CommunityDetection> = Vec::new();
-        let mut per_community = Vec::new();
+        let pipeline = Pipeline::open(&self.config.algorithm, graph, None)?;
+        let mut pricer = CongestPricer::new(&self.config, graph, &pipeline);
+        let (result, _) = pipeline.run(&mut pricer)?;
         let mut total = CostAccount::new();
-        for &seed in &pool {
-            if !in_pool[seed] {
-                continue;
-            }
-            let (detection, community_cost) = self.detect_with_delta(
-                &engine,
-                &mut workspace,
-                &mut batch,
-                &mut evidence,
-                seed,
-                delta,
-                pooling,
-            )?;
-            if pooling {
-                evidence.pool_epoch(detections.len() as u32);
-            }
-            for &v in &detection.members {
-                in_pool[v] = false;
-            }
-            in_pool[seed] = false;
-            total.absorb(community_cost.cost);
-            per_community.push(community_cost);
-            detections.push(detection);
+        for community in &pricer.per_community {
+            total.absorb(community.cost);
         }
-
-        let (result, assembly_cost) =
-            if let AssemblyPolicy::Pooled { reseed, quorum } = algorithm.assembly {
-                let (result, assembly_cost) = self.assemble_with_costs(
-                    &engine,
-                    &mut batch,
-                    &mut evidence,
-                    detections,
-                    delta,
-                    reseed,
-                    quorum,
-                )?;
-                total.absorb(assembly_cost.cost);
-                (result, Some(assembly_cost))
-            } else {
-                (DetectionResult::new(n, detections, delta), None)
-            };
-        let total_bits = total.messages * u64::from(self.config.bandwidth_bits);
+        if let Some(assembly) = &pricer.assembly {
+            total.absorb(assembly.cost);
+        }
         Ok(CongestReport {
-            per_community,
-            assembly: assembly_cost,
+            per_community: pricer.per_community,
+            assembly: pricer.assembly,
             total,
-            total_bits,
+            total_bits: total.messages * u64::from(self.config.bandwidth_bits),
             result,
         })
-    }
-
-    /// The global assembly phase with CONGEST charging. All coordination is
-    /// charged on one BFS tree rooted at the first detection's seed:
-    ///
-    /// * one convergecast per detection (its pooled claims travel to the
-    ///   root, which computes the evidence groups locally),
-    /// * one broadcast announcing the groups,
-    /// * per re-seed walk: the walk itself (flooding steps plus sweep
-    ///   aggregations, exactly like a base walk; each group's walks run in
-    ///   lockstep through the walk batch, charged per lane) and one vote
-    ///   broadcast,
-    /// * three waves per re-seeded group (seed announce, quorum announce,
-    ///   refined-membership broadcast),
-    /// * two waves for the reconciliation (margin announce, final
-    ///   assignment broadcast),
-    /// * one round per absorption wave, with one message per edge incident
-    ///   to a still-unassigned vertex (each polls its neighbourhood).
-    ///
-    /// The decisions are shared with the sequential driver through
-    /// [`cdrw_core::assembly::assemble_run`], so the assembled result is
-    /// identical bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    fn assemble_with_costs(
-        &self,
-        engine: &WalkEngine<'_>,
-        batch: &mut WalkBatch,
-        evidence: &mut WalkEvidence,
-        mut detections: Vec<CommunityDetection>,
-        delta: f64,
-        reseed: usize,
-        quorum: usize,
-    ) -> Result<(DetectionResult, AssemblyCost), CdrwError> {
-        let graph = engine.graph();
-        let n = graph.num_vertices();
-        let cap = n / 2;
-        let mut cost = CostAccount::new();
-        let mut flood = CostAccount::new();
-        let mut walk_steps = 0usize;
-        let mut size_checks = 0usize;
-
-        let root = detections.first().map(|d| d.seed).unwrap_or(0);
-        let (tree, bfs_cost) = bfs_tree_cost(graph, root, self.config.bfs_depth(n))?;
-        cost.absorb(bfs_cost);
-        // Claim convergecasts (one per detection) plus the group broadcast.
-        for _ in 0..detections.len() {
-            cost.absorb(tree_wave_cost(&tree));
-        }
-        cost.absorb(tree_wave_cost(&tree));
-
-        let member_sets: Vec<Vec<VertexId>> =
-            detections.iter().map(|d| d.members.clone()).collect();
-        let seeds: Vec<VertexId> = detections.iter().map(|d| d.seed).collect();
-        let outcome = assembly::assemble_run(
-            graph,
-            reseed,
-            quorum,
-            &member_sets,
-            &seeds,
-            evidence,
-            |walk_seeds, floor| {
-                let answers = self.charged_walks_batched(
-                    engine,
-                    batch,
-                    &tree,
-                    walk_seeds,
-                    delta,
-                    floor,
-                    cap,
-                    &mut cost,
-                    &mut flood,
-                    &mut walk_steps,
-                    &mut size_checks,
-                )?;
-                Ok(answers
-                    .into_iter()
-                    .map(|(set, margin, bounded)| {
-                        cost.absorb(membership_broadcast_cost(&tree));
-                        community_scale_vote(set, margin, bounded, cap)
-                    })
-                    .collect())
-            },
-        )?;
-        for _ in 0..outcome.report.reseeded_groups {
-            cost.absorb(tree_wave_cost(&tree));
-            cost.absorb(tree_wave_cost(&tree));
-            cost.absorb(tree_wave_cost(&tree));
-        }
-        // Reconciliation: margin announce + final assignment broadcast.
-        cost.absorb(tree_wave_cost(&tree));
-        cost.absorb(tree_wave_cost(&tree));
-        // Absorption: one round per wave, each unassigned vertex polls its
-        // neighbourhood.
-        for &volume in &outcome.absorption_volumes {
-            cost.absorb(CostAccount {
-                rounds: 1,
-                messages: volume,
-            });
-        }
-
-        for (detection, refined) in detections.iter_mut().zip(outcome.refined) {
-            detection.members = refined;
-        }
-        let result = DetectionResult::assembled(
-            n,
-            detections,
-            outcome.partition,
-            outcome.report.clone(),
-            delta,
-        );
-        let assembly_cost = AssemblyCost {
-            report: outcome.report,
-            walk_steps,
-            size_checks,
-            cost,
-            flood,
-        };
-        Ok((result, assembly_cost))
     }
 
     /// Convenience: runs the purely sequential algorithm with the same
     /// configuration (used by the equivalence tests).
     pub fn sequential(&self) -> Cdrw {
         Cdrw::new(self.config.algorithm)
+    }
+}
+
+/// Charges accumulated by the open detection or the assembly phase.
+#[derive(Debug, Default)]
+struct Charges {
+    cost: CostAccount,
+    flood: CostAccount,
+    walks: usize,
+    walk_steps: usize,
+    size_checks: usize,
+}
+
+/// The CONGEST pricer: a [`LocalExecutor`] that charges every walk step,
+/// every sweep and every coordination event of the pipeline.
+///
+/// All coordination of a detection runs on the BFS tree built from its
+/// seed; the follow-up walks of an ensemble start at members of the base
+/// detection, which lie within the tree's `O(log n)` depth. The assembly
+/// phase coordinates on one global tree rooted at the first detection's
+/// seed.
+struct CongestPricer<'g> {
+    inner: LocalExecutor<'g>,
+    graph: &'g Graph,
+    bfs_depth: usize,
+    bs_iterations: u64,
+    /// 1 for strict and lazy; 2 for the criteria that calibrate against the
+    /// retained mass `p(S)` (one extra broadcast + convergecast per check).
+    aggregations_per_check: u64,
+    /// The tree the open detection (or the assembly) coordinates on; `None`
+    /// for an isolated seed, which needs no communication at all.
+    tree: Option<BfsTree>,
+    open: Charges,
+    per_community: Vec<CommunityCost>,
+    assembly: Option<AssemblyCost>,
+}
+
+impl<'g> CongestPricer<'g> {
+    fn new(config: &CongestConfig, graph: &'g Graph, pipeline: &Pipeline<'g>) -> Self {
+        let n = graph.num_vertices();
+        CongestPricer {
+            inner: pipeline.executor(),
+            graph,
+            bfs_depth: config.bfs_depth(n),
+            bs_iterations: binary_search_iterations(n),
+            aggregations_per_check: config.algorithm.criterion.aggregations_per_size_check(),
+            tree: None,
+            open: Charges::default(),
+            per_community: Vec::new(),
+            assembly: None,
+        }
+    }
+
+    fn tree(&self) -> &BfsTree {
+        self.tree
+            .as_ref()
+            .expect("walks run only inside a detection or the assembly")
+    }
+
+    /// Charges `count` broadcasts or convergecasts on the current tree.
+    fn waves(&mut self, count: usize) {
+        let wave = tree_wave_cost(self.tree());
+        for _ in 0..count {
+            self.open.cost.absorb(wave);
+        }
+    }
+
+    /// Charges one membership announcement over the current tree.
+    fn announce_membership(&mut self) {
+        let cost = membership_broadcast_cost(self.tree());
+        self.open.cost.absorb(cost);
+    }
+
+    /// Builds the coordination tree from `root`, charging its construction.
+    fn build_tree(&mut self, root: VertexId) -> Result<(), CdrwError> {
+        let (tree, cost) = bfs_tree_cost(self.graph, root, self.bfs_depth)?;
+        self.open.cost.absorb(cost);
+        self.tree = Some(tree);
+        Ok(())
+    }
+}
+
+impl WalkExecutor for CongestPricer<'_> {
+    fn load(&mut self, seeds: &[VertexId]) -> Result<(), CdrwError> {
+        self.inner.load(seeds)
+    }
+
+    /// Algorithm 1, lines 9–11: one round of probability flooding per
+    /// stepped lane, its message count read off the lane's support before
+    /// the step. Lanes stepped together are charged exactly as if each
+    /// walked alone — batching is a physical-machine optimisation, not a
+    /// message-complexity change.
+    fn step(&mut self, lanes: &[u32]) -> Result<(), CdrwError> {
+        for &lane in lanes {
+            let step_cost = sparse_walk_step_cost(self.graph, self.inner.lane(lane as usize));
+            self.open.cost.absorb(step_cost);
+            self.open.flood.absorb(step_cost);
+            self.open.walk_steps += 1;
+        }
+        self.inner.step(lanes)
+    }
+
+    /// Lines 12–17: the candidate-size sweep. Each size needs one
+    /// binary-search aggregation through the tree; criteria calibrated
+    /// against the retained mass add one broadcast (the candidate
+    /// indicator) plus one convergecast (the mass sum) per check.
+    fn sweep(
+        &mut self,
+        lane: usize,
+        config: &LocalMixingConfig,
+    ) -> Result<LocalMixingOutcome, CdrwError> {
+        let outcome = self.inner.sweep(lane, config)?;
+        let checks = outcome.sizes_checked();
+        let search = binary_search_cost(self.tree(), self.bs_iterations);
+        let wave = tree_wave_cost(self.tree());
+        self.open.size_checks += checks;
+        for _ in 0..checks {
+            self.open.cost.absorb(search);
+            for _ in 1..self.aggregations_per_check {
+                self.open.cost.absorb(wave);
+                self.open.cost.absorb(wave);
+            }
+        }
+        Ok(outcome)
+    }
+
+    fn lane(&self, lane: usize) -> &WalkWorkspace {
+        self.inner.lane(lane)
+    }
+
+    fn on_event(&mut self, event: PipelineEvent<'_>) -> Result<(), CdrwError> {
+        match event {
+            PipelineEvent::DetectionStart(seed) => {
+                self.open = Charges {
+                    walks: 1,
+                    ..Charges::default()
+                };
+                self.tree = None;
+                // Line 5: BFS tree of depth O(log n) from the seed.
+                if self.graph.degree(seed) > 0 {
+                    self.build_tree(seed)?;
+                }
+            }
+            // Line 17: announce membership of the base walk's set (the
+            // first round of votes, for an ensemble).
+            PipelineEvent::BaseWalkDone => self.announce_membership(),
+            // One affinity convergecast up the tree plus one broadcast
+            // announcing the picks.
+            PipelineEvent::FollowupsSelected => self.waves(2),
+            // Each follow-up or re-seed walk announces its voted set, after
+            // which every vertex tallies its own count locally.
+            PipelineEvent::WalkVote => {
+                self.announce_membership();
+                self.open.walks += 1;
+            }
+            // The effective quorum goes down the tree; each vertex then
+            // decides membership from its local tally, so the consensus
+            // itself costs no further communication.
+            PipelineEvent::QuorumAnnounced => self.waves(1),
+            PipelineEvent::DetectionEnd(detection) => {
+                let charges = std::mem::take(&mut self.open);
+                self.per_community.push(CommunityCost {
+                    seed: detection.seed,
+                    community_size: detection.members.len(),
+                    walks: charges.walks,
+                    walk_steps: charges.walk_steps,
+                    size_checks: charges.size_checks,
+                    cost: charges.cost,
+                    flood: charges.flood,
+                });
+            }
+            PipelineEvent::AssemblyStart(detections) => {
+                self.open = Charges::default();
+                self.build_tree(detections.first().map_or(0, |d| d.seed))?;
+                // Claim convergecasts (one per detection) plus the group
+                // broadcast.
+                self.waves(detections.len() + 1);
+            }
+            PipelineEvent::AssemblyEnd(outcome) => {
+                // Seed announce, quorum announce and refined-membership
+                // broadcast per re-seeded group; margin announce and final
+                // assignment broadcast for the reconciliation.
+                self.waves(3 * outcome.report.reseeded_groups + 2);
+                // Absorption: one round per wave, each unassigned vertex
+                // polls its neighbourhood.
+                for &volume in &outcome.absorption_volumes {
+                    self.open.cost.absorb(CostAccount {
+                        rounds: 1,
+                        messages: volume,
+                    });
+                }
+                let charges = std::mem::take(&mut self.open);
+                self.assembly = Some(AssemblyCost {
+                    report: outcome.report.clone(),
+                    walk_steps: charges.walk_steps,
+                    size_checks: charges.size_checks,
+                    cost: charges.cost,
+                    flood: charges.flood,
+                });
+            }
+        }
+        Ok(())
     }
 }
 

@@ -12,9 +12,11 @@
 //! communities repeats this from fresh seeds drawn from the pool of vertices
 //! not yet assigned to any community.
 //!
-//! This crate contains the algorithm itself; the distributed round/message
-//! accounting lives in `cdrw-congest` (CONGEST model) and `cdrw-kmachine`
-//! (k-machine model), both of which re-use the building blocks exposed here.
+//! This crate contains the algorithm itself, written once in
+//! [`pipeline`] and generic over a [`WalkExecutor`]. The distributed drivers
+//! are executors: `cdrw-congest` prices the CONGEST model's rounds and
+//! messages around a [`LocalExecutor`], and `cdrw-kmachine` steps the walks
+//! on real shards.
 //!
 //! # Quickstart
 //!
@@ -45,14 +47,16 @@ mod config;
 mod error;
 pub mod growth;
 mod parallel;
+pub mod pipeline;
 mod result;
 pub mod service;
 
-pub use algorithm::{shuffled_seed_pool, Cdrw};
+pub use algorithm::Cdrw;
 pub use assembly::AssemblyReport;
 pub use config::{AssemblyPolicy, CdrwConfig, CdrwConfigBuilder, DeltaPolicy, EnsemblePolicy};
 pub use error::CdrwError;
 pub use growth::GrowthTracker;
+pub use pipeline::{shuffled_seed_pool, LocalExecutor, Pipeline, PipelineEvent, WalkExecutor};
 pub use result::{
     CommunityDetection, DetectionResult, DetectionTrace, EnsembleTrace, EnsembleWalkTrace,
     StepTrace,

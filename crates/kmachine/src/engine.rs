@@ -3,30 +3,35 @@
 //! Where [`crate::KMachineSimulator`] only prices a sequential execution,
 //! [`KMachineEngine`] actually runs it distributed: the graph is split over
 //! `k` worker shards by the [`crate::RandomVertexPartition`] (each holding a
-//! [`cdrw_graph::SubCsr`] of its owned rows), every walk step is an explicit
-//! message round of probability-mass deltas between the shards
-//! ([`cdrw_walk::shard`]), and the full detect/ensemble/assembly pipeline of
-//! [`cdrw_core::Cdrw::detect_all`] is driven to completion against the
-//! sharded state.
+//! [`cdrw_graph::SubCsr`] of its owned rows), and every walk step is an
+//! explicit message round of probability-mass deltas between the shards
+//! ([`cdrw_walk::shard`]).
+//!
+//! ## The executor split
+//!
+//! The engine holds no detection logic of its own. Its coordinator is a
+//! [`WalkExecutor`]: loading a lane and stepping lanes are shard protocol
+//! commands, and the lanes it serves to the sweep are the shards' supports
+//! gathered back into one global view. [`cdrw_core::Pipeline`] — the same
+//! pool loop, ensemble and assembly that serve [`cdrw_core::Cdrw`] — drives
+//! it to completion. Shard-local state lives on the shards; the one global
+//! loop that reconciles it lives in `cdrw-core`.
 //!
 //! ## Conformance contract
 //!
-//! * **Decisions are bit-identical to the sequential driver.** The
-//!   coordinator gathers each stepped lane's support from the shards
-//!   (bit-identical to the sequential workspace — see the `cdrw_walk::shard`
-//!   module docs for the accumulation-order argument) and runs the *same*
-//!   public decision code as `Cdrw`: [`WalkEngine::sweep`],
-//!   [`GrowthTracker`], `select_interior_seeds`/`community_scale_vote`/
-//!   consensus, and [`cdrw_core::assembly::assemble_run`], over the pool
-//!   order of [`cdrw_core::shuffled_seed_pool`]. The whole
-//!   [`DetectionResult`] — members, traces, partition, assembly report —
-//!   compares equal to `Cdrw::detect_all`'s.
+//! * **Decisions are bit-identical to the sequential driver.** Each gathered
+//!   lane is bit-identical to the sequential workspace (see the
+//!   `cdrw_walk::shard` module docs for the accumulation-order argument), and
+//!   every decision is the pipeline's. The whole [`DetectionResult`] —
+//!   members, traces, partition, assembly report — compares equal to
+//!   `Cdrw::detect_all`'s.
 //! * **Measured messages equal the modelled flood.** Every emitted edge
 //!   delta is one counted message; per lane-round the count is exactly
 //!   `sparse_walk_step_cost` on the pre-step distribution, which is also
 //!   exactly the `flood` account the CONGEST runner charges per detection.
 //!   [`WalkConformance`] carries measured and modelled side by side, per
-//!   physical round and per detection, so the cost tests double as
+//!   physical round and — attributed on the pipeline's detection and
+//!   assembly events — per detection, so the cost tests double as
 //!   conformance tests of the real execution.
 //!
 //! Intentional deviations (asserted by the conformance suite, documented in
@@ -56,15 +61,10 @@
 use std::time::Duration;
 
 use cdrw_congest::primitives::sparse_walk_step_cost;
-use cdrw_core::growth::WalkAnswer;
-use cdrw_core::{
-    assembly, shuffled_seed_pool, AssemblyPolicy, CdrwConfig, CdrwError, CommunityDetection,
-    DetectionResult, DetectionTrace, EnsembleTrace, EnsembleWalkTrace, GrowthTracker, StepTrace,
-};
+use cdrw_core::{CdrwError, DetectionResult, Pipeline, PipelineEvent, WalkExecutor};
 use cdrw_graph::{Graph, SubCsr, VertexId};
-use cdrw_walk::evidence::{community_scale_vote, select_interior_seeds, WalkEvidence};
 use cdrw_walk::shard::merge_runs_by_key;
-use cdrw_walk::{WalkEngine, WalkWorkspace};
+use cdrw_walk::{LocalMixingConfig, LocalMixingOutcome, WalkEngine, WalkWorkspace};
 
 use crate::chaos::{ChaosHarness, FaultPlan};
 use crate::partition::{PartitionStats, RandomVertexPartition};
@@ -89,7 +89,7 @@ pub struct RoundConformance {
 
 /// Flood conformance of one detection (or of the assembly phase): the
 /// measured execution next to the congest model's expected counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectionFlood {
     /// The detection's seed (`usize::MAX` for the assembly phase).
     pub seed: VertexId,
@@ -364,14 +364,7 @@ impl KMachineEngine {
         partition: &RandomVertexPartition,
     ) -> Result<KMachineRunReport, CdrwError> {
         let algorithm = &self.config.congest.algorithm;
-        algorithm.validate()?;
-        if graph.num_vertices() == 0 {
-            return Err(CdrwError::EmptyGraph);
-        }
-        if graph.num_edges() == 0 {
-            return Err(CdrwError::NoEdges);
-        }
-        let delta = algorithm.resolve_delta(graph)?;
+        let pipeline = Pipeline::open(algorithm, graph, None)?;
         let k = partition.num_machines();
         let laziness = algorithm.criterion.laziness();
         let options = self.resilience.shard_options();
@@ -431,11 +424,11 @@ impl KMachineEngine {
             let respawn = |m: usize, seq: u64, checkpoint: Vec<LaneState>| {
                 spawn(m, reconnector.reconnect(m), seq, checkpoint);
             };
-            let mut coordinator =
-                Coordinator::new(algorithm, graph, &links, self.resilience, &respawn);
-            let result = coordinator.detect_all(delta);
+            let engine = WalkEngine::lazy(graph, laziness);
+            let mut coordinator = Coordinator::new(engine, &links, self.resilience, &respawn);
+            let result = pipeline.run(&mut coordinator);
             links.broadcast(&Message::Halt);
-            result.map(|r| (r, coordinator.conformance, coordinator.fault_log))
+            result.map(|(r, _)| (r, coordinator.conformance, coordinator.fault_log))
         });
         let (result, conformance, fault_log) = outcome?;
         Ok(KMachineRunReport {
@@ -448,11 +441,12 @@ impl KMachineEngine {
     }
 }
 
-/// The coordinator: owns the gathered per-lane global view, drives the shard
-/// protocol, and replicates [`cdrw_core::Cdrw::detect_all`]'s control flow
-/// over it using only the shared public decision components.
+/// The coordinator: the [`WalkExecutor`] the pipeline drives. It owns the
+/// gathered per-lane global view (what [`WalkExecutor::lane`] serves and the
+/// sweeps read), runs every step as a resilient shard protocol round, and
+/// attributes the measured flood per detection and to the assembly phase on
+/// the pipeline's events.
 struct Coordinator<'g, 'l> {
-    config: &'l CdrwConfig,
     graph: &'g Graph,
     engine: WalkEngine<'g>,
     links: &'l CoordinatorLinks,
@@ -464,6 +458,8 @@ struct Coordinator<'g, 'l> {
     /// sequential workspaces (the shards' owned slices concatenate to them).
     lanes: Vec<WalkWorkspace>,
     conformance: WalkConformance,
+    /// The flood of the open detection (or of the assembly phase).
+    open: DetectionFlood,
     /// Last issued command sequence number.
     seq: u64,
     /// Issued commands, ascending by seq, kept for `Nack`-triggered re-sends
@@ -478,22 +474,21 @@ struct Coordinator<'g, 'l> {
 
 impl<'g, 'l> Coordinator<'g, 'l> {
     fn new(
-        config: &'l CdrwConfig,
-        graph: &'g Graph,
+        engine: WalkEngine<'g>,
         links: &'l CoordinatorLinks,
         resilience: ResiliencePolicy,
         respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
     ) -> Self {
         let k = links.num_shards();
         Coordinator {
-            config,
-            graph,
-            engine: WalkEngine::lazy(graph, config.criterion.laziness()),
+            graph: engine.graph(),
+            engine,
             links,
             resilience,
             respawn,
             lanes: Vec::new(),
             conformance: WalkConformance::default(),
+            open: DetectionFlood::default(),
             seq: 0,
             command_log: Vec::new(),
             checkpoints: vec![(0, Vec::new()); k],
@@ -614,10 +609,12 @@ impl<'g, 'l> Coordinator<'g, 'l> {
             _ => {}
         }
     }
+}
 
+impl WalkExecutor for Coordinator<'_, '_> {
     /// Loads `seeds[i]` as a fresh point-mass walk into lane `i`, on the
     /// shards and in the gathered view.
-    fn load_lanes(&mut self, seeds: &[VertexId]) -> Result<(), CdrwError> {
+    fn load(&mut self, seeds: &[VertexId]) -> Result<(), CdrwError> {
         self.ensure_lanes(seeds.len());
         let mut message_seeds = Vec::with_capacity(seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
@@ -785,6 +782,10 @@ impl<'g, 'l> Coordinator<'g, 'l> {
                 .expect("gathered support is in range");
         }
 
+        self.open.physical_rounds += 1;
+        self.open.lane_rounds += lanes.len() as u64;
+        self.open.measured_messages += measured;
+        self.open.modelled_messages += modelled;
         let ledger = &mut self.conformance;
         ledger.physical_rounds += 1;
         ledger.lane_rounds += lanes.len() as u64;
@@ -799,324 +800,38 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         Ok(())
     }
 
-    /// Snapshot of the running totals, for per-detection attribution.
-    fn checkpoint(&self) -> (u64, u64, u64, u64) {
-        let c = &self.conformance;
-        (
-            c.lane_rounds,
-            c.physical_rounds,
-            c.measured_messages,
-            c.modelled_messages,
-        )
-    }
-
-    fn flood_since(&self, seed: VertexId, mark: (u64, u64, u64, u64)) -> DetectionFlood {
-        let c = &self.conformance;
-        DetectionFlood {
-            seed,
-            lane_rounds: c.lane_rounds - mark.0,
-            physical_rounds: c.physical_rounds - mark.1,
-            measured_messages: c.measured_messages - mark.2,
-            modelled_messages: c.modelled_messages - mark.3,
-        }
-    }
-
-    /// Mirror of `Cdrw::detect_all`: the pool loop, then the configured
-    /// assembly.
-    fn detect_all(&mut self, delta: f64) -> Result<DetectionResult, CdrwError> {
-        let n = self.graph.num_vertices();
-        let mut in_pool = vec![true; n];
-        let pool = shuffled_seed_pool(n, self.config.seed);
-
-        let pooling = self.config.assembly.is_pooled();
-        let mut evidence =
-            WalkEvidence::for_graph_if(self.config.ensemble.is_ensemble() || pooling, self.graph);
-
-        let mut detections: Vec<CommunityDetection> = Vec::new();
-        for &seed in &pool {
-            if !in_pool[seed] {
-                continue;
-            }
-            let mark = self.checkpoint();
-            let detection = self.detect_community(&mut evidence, seed, delta, pooling)?;
-            self.conformance
-                .per_detection
-                .push(self.flood_since(seed, mark));
-            if pooling {
-                evidence.pool_epoch(detections.len() as u32);
-            }
-            for &v in &detection.members {
-                in_pool[v] = false;
-            }
-            in_pool[seed] = false;
-            detections.push(detection);
-        }
-        if let AssemblyPolicy::Pooled { reseed, quorum } = self.config.assembly {
-            let mark = self.checkpoint();
-            let result =
-                self.assemble_detections(&mut evidence, detections, delta, reseed, quorum)?;
-            self.conformance.assembly = Some(self.flood_since(usize::MAX, mark));
-            return Ok(result);
-        }
-        Ok(DetectionResult::new(n, detections, delta))
-    }
-
-    /// Mirror of `Cdrw::detect_community_in`.
-    fn detect_community(
+    fn sweep(
         &mut self,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-        record_claims: bool,
-    ) -> Result<CommunityDetection, CdrwError> {
-        if self.graph.degree(seed) == 0 {
-            let detection = CommunityDetection {
-                seed,
-                members: vec![seed],
-                trace: DetectionTrace {
-                    steps: Vec::new(),
-                    stopped_by_growth_rule: false,
-                    delta,
-                    ensemble: None,
-                },
-            };
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, 0.0)?;
-            }
-            return Ok(detection);
-        }
-        if !self.config.ensemble.is_ensemble() {
-            let floor = self.config.min_stop_size(self.graph.num_vertices());
-            let (detection, margin) = self.detect_single(seed, delta, floor)?;
-            if record_claims {
-                evidence.begin();
-                evidence.record_walk(&detection.members, margin)?;
-            }
-            return Ok(detection);
-        }
-        self.detect_ensemble(evidence, seed, delta)
+        lane: usize,
+        config: &LocalMixingConfig,
+    ) -> Result<LocalMixingOutcome, CdrwError> {
+        Ok(self.engine.sweep(&mut self.lanes[lane], config)?)
     }
 
-    /// Mirror of `Cdrw::detect_single_in`, stepping lane 0 on the shards.
-    fn detect_single(
-        &mut self,
-        seed: VertexId,
-        delta: f64,
-        stop_floor: usize,
-    ) -> Result<(CommunityDetection, f64), CdrwError> {
-        let n = self.graph.num_vertices();
-        let mixing_config = self.config.local_mixing_config(n);
-        let max_length = self.config.max_walk_length(n);
-
-        self.load_lanes(&[seed])?;
-        let mut trace = DetectionTrace {
-            steps: Vec::with_capacity(max_length),
-            stopped_by_growth_rule: false,
-            delta,
-            ensemble: None,
-        };
-        let mut tracker = GrowthTracker::new(stop_floor, delta, None);
-        for walk_length in 1..=max_length {
-            self.step(&[0])?;
-            let outcome = self.engine.sweep(&mut self.lanes[0], &mixing_config)?;
-            trace.steps.push(StepTrace {
-                walk_length,
-                mixing_set_size: outcome.size(),
-                sizes_checked: outcome.sizes_checked(),
-            });
-            if tracker.observe_outcome(self.graph, seed, outcome, mixing_config.threshold) {
-                break;
-            }
-        }
-
-        let fired = tracker.fired();
-        trace.stopped_by_growth_rule = fired;
-        let (members, margin, _) = tracker.conclude(self.graph, seed);
-        let mut detection = finish(seed, members, trace);
-        if fired {
-            if let Some(last) = detection.trace.steps.last_mut() {
-                last.mixing_set_size = detection.members.len();
-            }
-        }
-        Ok((detection, margin))
+    fn lane(&self, lane: usize) -> &WalkWorkspace {
+        &self.lanes[lane]
     }
 
-    /// Mirror of `Cdrw::run_walks_batched`: one walk per seed, all active
-    /// lanes stepped in one physical round per iteration (the batching
-    /// deviation — decisions are unchanged because each lane's sharded step
-    /// is bit-identical to its solo step).
-    fn run_walks_batched(
-        &mut self,
-        seeds: &[VertexId],
-        delta: f64,
-        stop_floor: usize,
-        bounded_cap: usize,
-    ) -> Result<Vec<WalkAnswer>, CdrwError> {
-        let n = self.graph.num_vertices();
-        let mixing_config = self.config.local_mixing_config(n);
-        let max_length = self.config.max_walk_length(n);
-
-        self.load_lanes(seeds)?;
-        let mut trackers: Vec<GrowthTracker> = seeds
-            .iter()
-            .map(|_| GrowthTracker::new(stop_floor, delta, Some(bounded_cap)))
-            .collect();
-        let mut active = vec![true; seeds.len()];
-        for _ in 1..=max_length {
-            let stepping: Vec<u32> = active
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a)
-                .map(|(lane, _)| lane as u32)
-                .collect();
-            if stepping.is_empty() {
-                break;
+    /// Opens a fresh flood account at each detection and at the assembly,
+    /// and files it into the conformance ledger when that phase ends.
+    fn on_event(&mut self, event: PipelineEvent<'_>) -> Result<(), CdrwError> {
+        match event {
+            PipelineEvent::DetectionStart(seed) => {
+                self.open = DetectionFlood {
+                    seed,
+                    ..DetectionFlood::default()
+                };
             }
-            self.step(&stepping)?;
-            for (lane, &walk_seed) in seeds.iter().enumerate() {
-                if !active[lane] {
-                    continue;
-                }
-                let outcome = self.engine.sweep(&mut self.lanes[lane], &mixing_config)?;
-                if trackers[lane].observe_outcome(
-                    self.graph,
-                    walk_seed,
-                    outcome,
-                    mixing_config.threshold,
-                ) {
-                    active[lane] = false;
-                }
+            PipelineEvent::DetectionEnd(_) => self.conformance.per_detection.push(self.open),
+            PipelineEvent::AssemblyStart(_) => {
+                self.open = DetectionFlood {
+                    seed: usize::MAX,
+                    ..DetectionFlood::default()
+                };
             }
+            PipelineEvent::AssemblyEnd(_) => self.conformance.assembly = Some(self.open),
+            _ => {}
         }
-        Ok(trackers
-            .into_iter()
-            .zip(seeds)
-            .map(|(tracker, &walk_seed)| tracker.conclude(self.graph, walk_seed))
-            .collect())
-    }
-
-    /// Mirror of `Cdrw::detect_ensemble_in`.
-    fn detect_ensemble(
-        &mut self,
-        evidence: &mut WalkEvidence,
-        seed: VertexId,
-        delta: f64,
-    ) -> Result<CommunityDetection, CdrwError> {
-        let n = self.graph.num_vertices();
-        let walks = self.config.ensemble.walks();
-        let base_floor = self.config.min_stop_size(n);
-        let (base, base_margin) = self.detect_single(seed, delta, base_floor)?;
-
-        evidence.begin();
-        evidence.record_walk(&base.members, base_margin)?;
-        // Lane 0 still holds the base walk's final gathered distribution —
-        // the same affinity signal the sequential driver ranks interior
-        // seeds by.
-        let followups =
-            select_interior_seeds(self.graph, &self.lanes[0], &base.members, seed, walks - 1);
-        let escalated_floor = base_floor.max(base.members.len() + 1);
-
-        let mut walk_traces = vec![EnsembleWalkTrace {
-            seed,
-            set_size: base.members.len(),
-            margin: base_margin,
-            contributed: 0,
-        }];
-        let CommunityDetection {
-            members: base_members,
-            trace: mut base_trace,
-            ..
-        } = base;
-        let mut sets: Vec<Vec<VertexId>> = vec![base_members];
-        let answers = self.run_walks_batched(&followups, delta, escalated_floor, n / 2)?;
-        for (&followup_seed, (members, walk_margin, bounded)) in followups.iter().zip(answers) {
-            let (voted, margin) = community_scale_vote(members, walk_margin, bounded, n / 2)
-                .unwrap_or((Vec::new(), 0.0));
-            if !voted.is_empty() {
-                evidence.record_walk(&voted, margin)?;
-            }
-            walk_traces.push(EnsembleWalkTrace {
-                seed: followup_seed,
-                set_size: voted.len(),
-                margin,
-                contributed: 0,
-            });
-            sets.push(voted);
-        }
-
-        let quorum = self.config.ensemble.quorum().min(evidence.walks_recorded());
-        let members = evidence.consensus_with(quorum as u32, &sets[0]);
-        for (walk, set) in walk_traces.iter_mut().zip(&sets) {
-            walk.contributed = set
-                .iter()
-                .filter(|v| members.binary_search(v).is_ok())
-                .count();
-        }
-        base_trace.ensemble = Some(EnsembleTrace {
-            quorum,
-            walks: walk_traces,
-            consensus_size: members.len(),
-        });
-        Ok(finish(seed, members, base_trace))
-    }
-
-    /// Mirror of `Cdrw::assemble_detections`: the shared
-    /// [`assembly::assemble_run`] drives the decisions; the re-seed walks run
-    /// sharded through [`Coordinator::run_walks_batched`].
-    fn assemble_detections(
-        &mut self,
-        evidence: &mut WalkEvidence,
-        mut detections: Vec<CommunityDetection>,
-        delta: f64,
-        reseed: usize,
-        quorum: usize,
-    ) -> Result<DetectionResult, CdrwError> {
-        let n = self.graph.num_vertices();
-        let cap = n / 2;
-        let member_sets: Vec<Vec<VertexId>> =
-            detections.iter().map(|d| d.members.clone()).collect();
-        let seeds: Vec<VertexId> = detections.iter().map(|d| d.seed).collect();
-        let graph = self.graph;
-        let outcome = assembly::assemble_run(
-            graph,
-            reseed,
-            quorum,
-            &member_sets,
-            &seeds,
-            evidence,
-            |walk_seeds, floor| {
-                let answers = self.run_walks_batched(walk_seeds, delta, floor, cap)?;
-                Ok(answers
-                    .into_iter()
-                    .map(|(members, margin, bounded)| {
-                        community_scale_vote(members, margin, bounded, cap)
-                    })
-                    .collect())
-            },
-        )?;
-        for (detection, refined) in detections.iter_mut().zip(outcome.refined) {
-            detection.members = refined;
-        }
-        Ok(DetectionResult::assembled(
-            n,
-            detections,
-            outcome.partition,
-            outcome.report,
-            delta,
-        ))
-    }
-}
-
-/// Mirror of `Cdrw::finish`: a detection always contains its seed.
-fn finish(seed: VertexId, mut members: Vec<VertexId>, trace: DetectionTrace) -> CommunityDetection {
-    if members.binary_search(&seed).is_err() {
-        members.push(seed);
-        members.sort_unstable();
-    }
-    CommunityDetection {
-        seed,
-        members,
-        trace,
+        Ok(())
     }
 }

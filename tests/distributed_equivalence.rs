@@ -2,6 +2,7 @@
 //! and with each other: same detected communities, costs consistent with the
 //! theory they implement.
 
+use cdrw_core::{AssemblyPolicy, MixingCriterion};
 use cdrw_repro::prelude::*;
 
 fn instance(n: usize, seed: u64) -> (Graph, Partition, f64) {
@@ -15,17 +16,94 @@ fn instance(n: usize, seed: u64) -> (Graph, Partition, f64) {
     )
 }
 
+/// The criterion × ensemble × assembly combinations the k-machine
+/// conformance suite runs.
+fn policy_combos() -> [(MixingCriterion, EnsemblePolicy, AssemblyPolicy); 4] {
+    [
+        (
+            MixingCriterion::Renormalized,
+            EnsemblePolicy::Single,
+            AssemblyPolicy::Raw,
+        ),
+        (
+            MixingCriterion::Strict,
+            EnsemblePolicy::Ensemble {
+                walks: 3,
+                quorum: 2,
+            },
+            AssemblyPolicy::Raw,
+        ),
+        (
+            MixingCriterion::Lazy(0.5),
+            EnsemblePolicy::Single,
+            AssemblyPolicy::Pooled {
+                reseed: 0,
+                quorum: 0,
+            },
+        ),
+        (
+            MixingCriterion::Renormalized,
+            EnsemblePolicy::Ensemble {
+                walks: 2,
+                quorum: 1,
+            },
+            AssemblyPolicy::Pooled {
+                reseed: 2,
+                quorum: 1,
+            },
+        ),
+    ]
+}
+
 #[test]
 fn congest_and_sequential_detect_identical_partitions() {
     for seed in [1u64, 2, 3] {
         let (graph, _, delta) = instance(256, seed);
-        let algorithm = CdrwConfig::builder().seed(seed).delta(delta).build();
-        let sequential = Cdrw::new(algorithm).detect_all(&graph).unwrap();
-        let congest = CongestCdrw::new(CongestConfig::new(algorithm))
-            .detect_all(&graph)
-            .unwrap();
-        assert_eq!(sequential.partition(), congest.result.partition());
-        assert_eq!(sequential.seeds(), congest.result.seeds());
+        for (criterion, ensemble, assembly) in policy_combos() {
+            let algorithm = CdrwConfig::builder()
+                .seed(seed)
+                .delta(delta)
+                .criterion(criterion)
+                .ensemble_policy(ensemble)
+                .assembly_policy(assembly)
+                .build();
+            let sequential = Cdrw::new(algorithm).detect_all(&graph).unwrap();
+            let congest = CongestCdrw::new(CongestConfig::new(algorithm))
+                .detect_all(&graph)
+                .unwrap();
+            // The whole result — members, traces, partition and assembly
+            // report — not just the partition.
+            assert_eq!(
+                sequential, congest.result,
+                "seed {seed}, {criterion:?}/{ensemble:?}/{assembly:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn congest_and_sequential_detect_identical_single_communities() {
+    let (graph, _, delta) = instance(256, 5);
+    for (criterion, ensemble, assembly) in policy_combos() {
+        let algorithm = CdrwConfig::builder()
+            .seed(5)
+            .delta(delta)
+            .criterion(criterion)
+            .ensemble_policy(ensemble)
+            .assembly_policy(assembly)
+            .build();
+        let sequential = Cdrw::new(algorithm);
+        let congest = CongestCdrw::new(CongestConfig::new(algorithm));
+        for seed in [0usize, 17, 200] {
+            let (detection, cost) = congest.detect_community(&graph, seed).unwrap();
+            assert_eq!(
+                sequential.detect_community(&graph, seed).unwrap(),
+                detection,
+                "seed {seed}, {criterion:?}/{ensemble:?}/{assembly:?}"
+            );
+            assert_eq!(cost.seed, seed);
+            assert_eq!(cost.community_size, detection.len());
+        }
     }
 }
 
