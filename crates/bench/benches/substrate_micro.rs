@@ -187,37 +187,41 @@ fn bench_batched_vs_sequential_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_vs_sequential_step");
     group.sample_size(10);
     // Follow-up walks start inside one block, so their supports overlap
-    // heavily — the case batching is built for.
-    const LANES: usize = 4;
+    // heavily — the case batching is built for. The lane counts reach every
+    // kernel width: 1 (the solo step), 2, 4, 8 and 12 (a chunk of 8 plus a
+    // chunk of 4).
     const STEPS: usize = 6;
     for &n in &[2048usize, 8192] {
         let graph = fig4a_instance(n);
         let engine = WalkEngine::new(&graph);
-        let seeds: Vec<usize> = (0..LANES).collect();
-        let mut batch = WalkBatch::for_graph(&graph);
-        group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
-            b.iter(|| {
-                batch.load_point_masses(&seeds).unwrap();
-                for _ in 0..STEPS {
-                    engine.step_batch(&mut batch);
-                }
-                black_box(batch.lane(0).support_size())
-            });
-        });
-        let mut workspace = engine.workspace();
-        group.bench_with_input(BenchmarkId::new("sequential", n), &n, |b, _| {
-            b.iter(|| {
-                let mut touched = 0usize;
-                for &seed in &seeds {
-                    workspace.load_point_mass(seed).unwrap();
+        for lanes in [1usize, 2, 4, 8, 12] {
+            let seeds: Vec<usize> = (0..lanes).collect();
+            let id = format!("n{n}/lanes{lanes}");
+            let mut batch = WalkBatch::for_graph(&graph);
+            group.bench_with_input(BenchmarkId::new("batched", &id), &n, |b, _| {
+                b.iter(|| {
+                    batch.load_point_masses(&seeds).unwrap();
                     for _ in 0..STEPS {
-                        engine.step(&mut workspace);
+                        engine.step_batch(&mut batch);
                     }
-                    touched += workspace.support_size();
-                }
-                black_box(touched)
+                    black_box(batch.lane(0).support_size())
+                });
             });
-        });
+            let mut workspace = engine.workspace();
+            group.bench_with_input(BenchmarkId::new("sequential", &id), &n, |b, _| {
+                b.iter(|| {
+                    let mut touched = 0usize;
+                    for &seed in &seeds {
+                        workspace.load_point_mass(seed).unwrap();
+                        for _ in 0..STEPS {
+                            engine.step(&mut workspace);
+                        }
+                        touched += workspace.support_size();
+                    }
+                    black_box(touched)
+                });
+            });
+        }
     }
     group.finish();
 }

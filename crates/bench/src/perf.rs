@@ -7,11 +7,17 @@
 //! (the sparse 8-block PPM whose accuracy the ensemble/assembly stack was
 //! built for), so the speedup travels with every CI artifact instead of
 //! living in a one-off PR description.
+//!
+//! Every measurement here compares two kernels on identical work, and
+//! `best_of_pair` times the two alternately inside each sample round, so a
+//! load burst from a neighbouring process lands on both sides of the ratio
+//! instead of on whichever side happened to be running.
 
 use std::time::Instant;
 
 use cdrw_gen::{generate_ppm, PpmParams};
-use cdrw_walk::{LocalMixingConfig, MixingCriterion, WalkEngine};
+use cdrw_graph::Graph;
+use cdrw_walk::{LocalMixingConfig, MixingCriterion, WalkBatch, WalkEngine};
 
 /// Measured sweep timings on the fig4a-sized instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,6 +65,102 @@ impl StepOverhead {
     }
 }
 
+/// Measured multi-lane step timings: one lane-interleaved
+/// [`cdrw_walk::WalkEngine::step_batch`] against one solo
+/// [`cdrw_walk::WalkEngine::step`] per lane, on the same walk states.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BatchStepSpeedup {
+    /// Vertices of the instance.
+    pub n: usize,
+    /// Number of lanes stepped.
+    pub lanes: usize,
+    /// Smallest support among the lanes of the measured walk state.
+    pub support: usize,
+    /// Best-of-samples time of one batched step of all lanes, in
+    /// nanoseconds.
+    pub batch_ns: f64,
+    /// Best-of-samples time of one solo step of every lane, in nanoseconds.
+    pub solo_ns: f64,
+}
+
+impl BatchStepSpeedup {
+    /// How many times faster the batched step is than the solo steps.
+    pub fn speedup(&self) -> f64 {
+        self.solo_ns / self.batch_ns
+    }
+}
+
+/// The Figure 4a sparse cell at `n` vertices: 8 blocks, `p = 2·(ln n)²/n`,
+/// `p/q = 2^0.6·ln n`, generated with seed 20190416.
+fn fig4a_instance(n: usize) -> Graph {
+    let ln_n = (n as f64).ln();
+    let p = 2.0 * ln_n * ln_n / n as f64;
+    let q = p / (2f64.powf(0.6) * ln_n);
+    let params = PpmParams::new(n, 8, p, q).expect("valid fig4a parameters");
+    generate_ppm(&params, 20190416)
+        .expect("valid fig4a instance")
+        .0
+}
+
+/// Measures four walks from seeds inside one block of a Figure 4a instance
+/// at `n = 8192` — the ensemble's follow-up shape — stepped in one batch
+/// against stepped one by one. Both sides are first spread for 16 steps to
+/// near-global support, where every step does the same work, and are
+/// checked bit-identical before and after timing.
+pub fn measure_batch_step_speedup() -> BatchStepSpeedup {
+    let n = 8192usize;
+    let graph = fig4a_instance(n);
+    let engine = WalkEngine::new(&graph);
+    let seeds = [0usize, 1, 2, 3];
+
+    let mut batch = WalkBatch::for_graph(&graph);
+    batch.load_point_masses(&seeds).expect("seeds exist");
+    let mut solos: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut ws = engine.workspace();
+            ws.load_point_mass(seed).expect("seed exists");
+            ws
+        })
+        .collect();
+    let agree = |batch: &WalkBatch, solos: &[cdrw_walk::WalkWorkspace]| {
+        solos
+            .iter()
+            .enumerate()
+            .all(|(lane, solo)| batch.lane(lane).as_slice() == solo.as_slice())
+    };
+    for _ in 0..16 {
+        engine.step_batch(&mut batch);
+        for ws in &mut solos {
+            engine.step(ws);
+        }
+    }
+    assert!(
+        agree(&batch, &solos),
+        "batched lanes diverged before timing"
+    );
+    let support = solos.iter().map(|ws| ws.support_size()).min().unwrap_or(0);
+
+    let (batch_ns, solo_ns) = best_of_pair(
+        || engine.step_batch(&mut batch),
+        || {
+            for ws in &mut solos {
+                engine.step(ws);
+            }
+        },
+        4,
+        8,
+    );
+    assert!(agree(&batch, &solos), "batched lanes diverged while timing");
+    BatchStepSpeedup {
+        n,
+        lanes: seeds.len(),
+        support,
+        batch_ns,
+        solo_ns,
+    }
+}
+
 /// Measures the unweighted step path both ways — the current kernel (which
 /// dispatches on the absent weight lane) against the preserved
 /// pre-weight-lane uniform kernel — on a quick-scale Figure 4a instance.
@@ -67,14 +169,8 @@ impl StepOverhead {
 /// unweighted graphs), so the ratio isolates the cost of the weight-lane
 /// dispatch.
 pub fn measure_step_overhead() -> StepOverhead {
-    let r = 8usize;
-    let block = 256usize;
-    let n = r * block;
-    let ln_n = (n as f64).ln();
-    let p = 2.0 * ln_n * ln_n / n as f64;
-    let q = p / (2f64.powf(0.6) * ln_n);
-    let params = PpmParams::new(n, r, p, q).expect("valid fig4a parameters");
-    let (graph, _) = generate_ppm(&params, 20190416).expect("valid fig4a instance");
+    let n = 2048usize;
+    let graph = fig4a_instance(n);
     assert!(!graph.is_weighted(), "the PPM generator is unweighted");
 
     let engine = WalkEngine::new(&graph);
@@ -96,8 +192,12 @@ pub fn measure_step_overhead() -> StepOverhead {
     );
     let support = current_ws.support_size();
 
-    let step_ns = best_of(|| engine.step(&mut current_ws), 10, 8);
-    let reference_ns = best_of(|| engine.step_uniform_reference(&mut reference_ws), 10, 8);
+    let (step_ns, reference_ns) = best_of_pair(
+        || engine.step(&mut current_ws),
+        || engine.step_uniform_reference(&mut reference_ws),
+        4,
+        32,
+    );
     StepOverhead {
         n,
         support,
@@ -106,17 +206,29 @@ pub fn measure_step_overhead() -> StepOverhead {
     }
 }
 
-/// Times `routine` as best-of-`samples`, `iterations` runs per sample.
-fn best_of<F: FnMut()>(mut routine: F, iterations: u32, samples: u32) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
+/// Times `a` and `b` as best-of-`samples`, `iterations` runs per sample,
+/// returning the per-run nanoseconds of each. Every sample round times `a`
+/// and then `b` (A, B, A, B, …), so no stretch of machine load can fall on
+/// one side only.
+fn best_of_pair<A: FnMut(), B: FnMut()>(
+    mut a: A,
+    mut b: B,
+    iterations: u32,
+    samples: u32,
+) -> (f64, f64) {
+    let time = |routine: &mut dyn FnMut()| {
         let start = Instant::now();
         for _ in 0..iterations {
             routine();
         }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(iterations));
+        start.elapsed().as_nanos() as f64 / f64::from(iterations)
+    };
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..samples {
+        best_a = best_a.min(time(&mut a));
+        best_b = best_b.min(time(&mut b));
     }
-    best
+    (best_a, best_b)
 }
 
 /// Measures the renormalised sweep both ways — prefix scan
@@ -125,14 +237,8 @@ fn best_of<F: FnMut()>(mut routine: F, iterations: u32, samples: u32) -> f64 {
 /// (8 blocks of 256, `p = 2·(ln n)²/n`, `p/q = 2^0.6·ln n`), on a walk state
 /// spread far enough that candidate prefixes are long.
 pub fn measure_sweep_speedup() -> SweepSpeedup {
-    let r = 8usize;
-    let block = 256usize;
-    let n = r * block;
-    let ln_n = (n as f64).ln();
-    let p = 2.0 * ln_n * ln_n / n as f64;
-    let q = p / (2f64.powf(0.6) * ln_n);
-    let params = PpmParams::new(n, r, p, q).expect("valid fig4a parameters");
-    let (graph, _) = generate_ppm(&params, 20190416).expect("valid fig4a instance");
+    let n = 2048usize;
+    let graph = fig4a_instance(n);
 
     let engine = WalkEngine::new(&graph);
     let config = LocalMixingConfig {
@@ -153,14 +259,11 @@ pub fn measure_sweep_speedup() -> SweepSpeedup {
         .expect("reference sweep runs");
     assert_eq!(fast.set, reference.set, "sweep paths diverged");
 
-    let per_size_ns = best_of(
+    let mut reference_ws = workspace.clone();
+    let (per_size_ns, prefix_ns) = best_of_pair(
         || {
-            let _ = engine.sweep_per_size(&mut workspace, &config).unwrap();
+            let _ = engine.sweep_per_size(&mut reference_ws, &config).unwrap();
         },
-        10,
-        8,
-    );
-    let prefix_ns = best_of(
         || {
             let _ = engine.sweep(&mut workspace, &config).unwrap();
         },
@@ -188,6 +291,18 @@ mod tests {
             reference_ns: 1_000.0,
         };
         assert!((measured.ratio() - 1.05).abs() < 1e-12);
+    }
+
+    #[test]
+    fn batch_speedup_reads_from_the_timings() {
+        let measured = BatchStepSpeedup {
+            n: 8192,
+            lanes: 4,
+            support: 8000,
+            batch_ns: 2_000.0,
+            solo_ns: 5_000.0,
+        };
+        assert!((measured.speedup() - 2.5).abs() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! prefix-scan sweep must beat the per-size reference by a wide margin on a
 //! fig4a-sized instance (the acceptance bar is ≥ 5×; the measured ratio is
 //! typically well above 15× in release mode), batched stepping must not
-//! lose to sequential stepping on overlapping walks, the work-stealing
+//! lose to sequential stepping on overlapping walks, the lane-interleaved
+//! batch step must beat four solo steps by ≥ 1.5× at near-global support,
+//! the work-stealing
 //! parallel driver must scale on a multi-core runner, the bit-packed
 //! walk state must not lose to the epoch-stamped reference layout it
 //! replaced, the weight-lane dispatch must cost ≤ 1.1× on the
@@ -20,14 +22,29 @@ use cdrw_core::{Cdrw, CdrwConfig};
 use cdrw_gen::{generate_ppm, PpmParams};
 use cdrw_kmachine::{FaultPlan, KMachineConfig, KMachineEngine};
 use cdrw_walk::{stamp_reference, WalkBatch, WalkEngine};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-// Both tests are #[ignore]d so the accuracy job and plain `cargo test` stay
-// timing-deterministic; the CI perf-smoke job runs them explicitly with
+// Every test here is #[ignore]d so the accuracy job and plain `cargo test`
+// stay timing-deterministic; the CI perf-smoke job runs them explicitly with
 // `-- --ignored` in release mode.
+
+/// Held by every timing test for its whole run. `cargo test` runs tests on
+/// parallel threads, and a ratio timed while another test loads the
+/// neighbouring core and the shared caches reads that test's load rather
+/// than the two kernels it compares.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn exclusive_timing() -> MutexGuard<'static, ()> {
+    // A failed bar poisons the lock; the `()` it guards has no state to
+    // leave half-updated, so the next test may take it over.
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn prefix_scan_sweep_is_at_least_5x_faster_on_a_fig4a_instance() {
+    let _timing = exclusive_timing();
     let measured = perf::measure_sweep_speedup();
     assert_eq!(measured.n, 2048, "quick-scale fig4a size");
     assert!(
@@ -48,6 +65,7 @@ fn prefix_scan_sweep_is_at_least_5x_faster_on_a_fig4a_instance() {
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn unweighted_step_path_costs_at_most_1_1x_of_the_pre_weight_lane_kernel() {
+    let _timing = exclusive_timing();
     // The weight lane must cost nothing when absent: on an unweighted graph
     // the current kernel takes the weightless branch, whose instructions are
     // the pre-weight-lane kernel's plus one per-vertex dispatch on the absent
@@ -73,6 +91,7 @@ fn unweighted_step_path_costs_at_most_1_1x_of_the_pre_weight_lane_kernel() {
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn fault_free_chaos_wrapper_costs_at_most_1_1x_of_the_bare_sharded_run() {
+    let _timing = exclusive_timing();
     // The fault-tolerance acceptance bar: wrapping every shard transport in
     // `ChaosTransport` under the zero plan must be (near) free, because the
     // fault-free plan short-circuits straight to the inner transport — no
@@ -93,18 +112,21 @@ fn fault_free_chaos_wrapper_costs_at_most_1_1x_of_the_bare_sharded_run() {
         .unwrap()
         .with_fault_plan(FaultPlan::fault_free());
 
-    let best_of = |engine: &KMachineEngine| {
-        let mut best = f64::INFINITY;
-        for _ in 0..6 {
-            let start = Instant::now();
-            let report = engine.run(&graph).unwrap();
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            assert!(report.fault_log.is_clean());
-        }
-        best
+    let time_ms = |engine: &KMachineEngine| {
+        let start = Instant::now();
+        let report = engine.run(&graph).unwrap();
+        let elapsed = start.elapsed().as_secs_f64() * 1e3;
+        assert!(report.fault_log.is_clean());
+        elapsed
     };
-    let bare_ms = best_of(&bare);
-    let wrapped_ms = best_of(&wrapped);
+    // Best-of-samples with the two sides alternating inside every round, so
+    // a burst of load from elsewhere on the machine cannot land on one side
+    // only.
+    let (mut bare_ms, mut wrapped_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..40 {
+        bare_ms = bare_ms.min(time_ms(&bare));
+        wrapped_ms = wrapped_ms.min(time_ms(&wrapped));
+    }
     assert!(
         wrapped_ms <= bare_ms * 1.1,
         "fault-free chaos wrapper at {:.3}x of the bare sharded run, above \
@@ -116,6 +138,7 @@ fn fault_free_chaos_wrapper_costs_at_most_1_1x_of_the_bare_sharded_run() {
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn batched_stepping_does_not_lose_to_sequential_stepping() {
+    let _timing = exclusive_timing();
     // Four overlapping walks inside one block of a fig4a instance — the
     // ensemble's follow-up shape. Batching reads the CSR once per step for
     // all four lanes; it must be at least par with four solo traversals
@@ -168,7 +191,35 @@ fn batched_stepping_does_not_lose_to_sequential_stepping() {
 
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
+fn interleaved_batch_step_beats_four_solo_walks() {
+    let _timing = exclusive_timing();
+    // Four walks inside one block of a fig4a instance at n = 8192, spread
+    // to near-global support: the interleaved kernel reads each adjacency
+    // list once and scatters one cache-line row per neighbour for all four
+    // lanes, where the solo steps pay four traversals and four scattered
+    // read-modify-writes per edge. The lanes are checked bit-identical to
+    // the solo walks before and after timing.
+    let measured = perf::measure_batch_step_speedup();
+    assert_eq!((measured.n, measured.lanes), (8192, 4));
+    assert!(
+        measured.support > measured.n / 2,
+        "the timed state must be spread to near-global support, support = {}",
+        measured.support
+    );
+    assert!(
+        measured.speedup() >= 1.5,
+        "interleaved batch step {:.2}x faster than four solo steps, below the \
+         1.5x acceptance bar (batch {:.0} ns, solo {:.0} ns)",
+        measured.speedup(),
+        measured.batch_ns,
+        measured.solo_ns
+    );
+}
+
+#[test]
+#[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn work_stealing_scales_with_four_workers() {
+    let _timing = exclusive_timing();
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -216,6 +267,7 @@ fn work_stealing_scales_with_four_workers() {
 #[test]
 #[ignore = "timing assertion — run by the CI perf-smoke job with -- --ignored"]
 fn bit_packed_batch_stepping_does_not_lose_to_the_stamped_layout() {
+    let _timing = exclusive_timing();
     // Same shape as the batched-vs-sequential check, but against the
     // preserved pre-change layout: the bit-packed mask + compact live-lane
     // scratch must be at least on par with the 8-bytes-per-vertex epoch

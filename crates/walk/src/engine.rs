@@ -77,6 +77,13 @@
 //! |---|---|---|
 //! | epoch stamps (pre-mask, kept in [`crate::stamp_reference`]) | 8 B/vertex (8 MiB @ 2²⁰) | ≈ 24 MiB |
 //! | bit-packed mask ([`WalkWorkspace`]) | 1 bit/vertex (128 KiB @ 2²⁰) | ≈ 16.1 MiB |
+//! | interleaved scratch ([`crate::WalkBatch`], once per batch, not per lane) | 1 B/vertex touched-lane bits (1 MiB @ 2²⁰) | `n·W·8 B + n B`: ≈ 33 MiB at `W = 4`, ≈ 65 MiB at `W = 8` |
+//!
+//! The batch scratch is the `n × W` lane-interleaved accumulator of
+//! [`WalkEngine::step_batch`] plus its touched-lane byte plane (see the
+//! [`crate::batch`] module docs). It is allocated at the widest `W` the
+//! batch has stepped, and a batch that only ever steps one live lane never
+//! allocates it.
 //!
 //! The mass planes are unavoidable (they hold the walk), so the win is in
 //! the *bookkeeping traffic*: the membership bit the hot accumulation loop

@@ -40,8 +40,13 @@
 //! * [`WalkBatch`] + [`WalkEngine::step_batch`] step K independent walks in
 //!   lockstep, reading each adjacency list once for all K lanes — the
 //!   ensemble's follow-up walks and the assembly's re-seed walks run
-//!   through it. Each lane is bit-identical to a solo walk (see the
-//!   [`batch`] module docs).
+//!   through it. The multi-lane scan is laid out like a sparse-matrix ×
+//!   tall-skinny-matrix product: the lanes' masses at a vertex are gathered
+//!   once and one `[f64; W]` share vector per neighbour is scattered into a
+//!   lane-interleaved `n × W` accumulator (`W` ∈ {2, 4, 8}, more lanes in
+//!   chunks of 8), so each edge costs one cache-line row instead of K
+//!   scattered read-modify-writes. Each lane is bit-identical to a solo
+//!   walk (see the [`batch`] module docs).
 //! * [`shard`] splits one step across vertex-partitioned shards as an
 //!   emit/exchange/absorb message round ([`shard::MassDelta`]) whose
 //!   source-ordered merge of the incoming runs reconstructs the sequential
