@@ -10,12 +10,12 @@
 //! support is a small fraction of the graph — exactly the regime CDRW's
 //! `O(r log⁴ n)` round bound exploits.
 
+use cdrw_bench::perf;
 use cdrw_gen::{generate_gnp, generate_ppm, GnpParams, PpmParams};
 use cdrw_graph::Graph;
 use cdrw_metrics::f_score;
 use cdrw_walk::{
-    largest_mixing_set, LocalMixingConfig, MixingCriterion, WalkBatch, WalkDistribution,
-    WalkEngine, WalkOperator,
+    largest_mixing_set, LocalMixingConfig, WalkBatch, WalkDistribution, WalkEngine, WalkOperator,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -143,46 +143,6 @@ fn bench_sparse_vs_dense_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// A fig4a-shaped sparse PPM (8 blocks, `p = 2·(ln n)²/n`,
-/// `p/q = 2^0.6·ln n`) — the regime the renormalised sweep and the
-/// ensemble's follow-up walks run hottest on.
-fn fig4a_instance(n: usize) -> Graph {
-    let ln_n = (n as f64).ln();
-    let p = 2.0 * ln_n * ln_n / n as f64;
-    let q = p / (2f64.powf(0.6) * ln_n);
-    let params = PpmParams::new(n, 8, p, q).unwrap();
-    generate_ppm(&params, 20190416).unwrap().0
-}
-
-fn bench_prefix_vs_per_size_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prefix_vs_per_size_sweep");
-    group.sample_size(10);
-    for &n in &[2048usize, 8192] {
-        let graph = fig4a_instance(n);
-        let engine = WalkEngine::new(&graph);
-        let config = LocalMixingConfig {
-            criterion: MixingCriterion::Renormalized,
-            ..LocalMixingConfig::for_graph_size(n)
-        };
-        let mut workspace = engine.workspace();
-        workspace.load_point_mass(0).unwrap();
-        for _ in 0..8 {
-            engine.step(&mut workspace);
-        }
-        println!(
-            "fig4a n={n}: support after 8 steps = {} of {n} vertices",
-            workspace.support_size()
-        );
-        group.bench_with_input(BenchmarkId::new("prefix_scan", n), &n, |b, _| {
-            b.iter(|| black_box(engine.sweep(&mut workspace, &config).unwrap()));
-        });
-        group.bench_with_input(BenchmarkId::new("per_size", n), &n, |b, _| {
-            b.iter(|| black_box(engine.sweep_per_size(&mut workspace, &config).unwrap()));
-        });
-    }
-    group.finish();
-}
-
 fn bench_batched_vs_sequential_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("batched_vs_sequential_step");
     group.sample_size(10);
@@ -192,7 +152,7 @@ fn bench_batched_vs_sequential_step(c: &mut Criterion) {
     // chunk of 4).
     const STEPS: usize = 6;
     for &n in &[2048usize, 8192] {
-        let graph = fig4a_instance(n);
+        let graph = perf::fig4a_instance(n);
         let engine = WalkEngine::new(&graph);
         for lanes in [1usize, 2, 4, 8, 12] {
             let seeds: Vec<usize> = (0..lanes).collect();
@@ -231,7 +191,6 @@ criterion_group!(
     bench_substrates,
     bench_sparse_vs_dense_step,
     bench_sparse_vs_dense_sweep,
-    bench_prefix_vs_per_size_sweep,
     bench_batched_vs_sequential_step
 );
 criterion_main!(benches);

@@ -376,9 +376,9 @@ fn json_document(
                     Json::object()
                         .set("n", sweep.n)
                         .set("support", sweep.support)
-                        .set("per_size_ns", sweep.per_size_ns)
-                        .set("prefix_scan_ns", sweep.prefix_ns)
-                        .set("speedup", sweep.speedup()),
+                        .set("sweep_ns", sweep.sweep_ns)
+                        .set("step_ns", sweep.step_ns)
+                        .set("ratio", sweep.ratio()),
                 )
                 .set(
                     "unweighted_step",

@@ -9,19 +9,23 @@
 //! and fails (exit 1) when the current run is more than `max-ratio` times
 //! slower than the baseline. Tables faster than the baseline, or new tables
 //! with no baseline entry, never fail — the gate only guards against
-//! slowdowns. Two guards keep the gate honest on CI's noisy shared runners:
+//! slowdowns. Three guards keep the gate honest on CI's noisy shared
+//! runners:
 //!
 //! * tables cheaper than 100 ms in the baseline are skipped (scheduler
-//!   jitter dominates at that granularity), and
+//!   jitter dominates at that granularity),
 //! * a truncated current table fails outright — a run that blew its
 //!   wall-clock budget is a regression even though its recorded elapsed
-//!   time looks small.
+//!   time looks small, and
+//! * a baseline table missing from the current run fails, so a command
+//!   that drops a selection cannot pass by gating nothing.
 //!
-//! Regenerating the baseline after an intentional perf change:
+//! Regenerating the baseline after an intentional perf change (the same
+//! selections CI runs):
 //!
 //! ```text
 //! cargo run --release -p cdrw-bench --bin experiments -- \
-//!     fig2-smoke --json ci/baselines/perf_smoke.json
+//!     fig2-smoke kmachine-exec churn --kmachine 4 --json ci/baselines/perf_smoke.json
 //! ```
 //!
 //! then commit the updated file (see `ci/baselines/README.md`).
@@ -100,9 +104,17 @@ fn figures(document: &Json) -> Vec<(String, f64, bool)> {
 /// failure lines.
 fn gate(baseline: &Json, current: &Json, max_ratio: f64) -> Result<String, String> {
     let baseline_figures = figures(baseline);
+    let current_figures = figures(current);
     let mut report = String::new();
     let mut failures = String::new();
-    for (name, current_ms, truncated) in figures(current) {
+    for (name, _, _) in &baseline_figures {
+        if !current_figures.iter().any(|(c, _, _)| c == name) {
+            failures.push_str(&format!(
+                "  {name}: in the baseline but MISSING from the current run\n"
+            ));
+        }
+    }
+    for (name, current_ms, truncated) in current_figures {
         if truncated {
             failures.push_str(&format!(
                 "  {name}: current run was TRUNCATED by its wall-clock budget\n"
@@ -215,6 +227,14 @@ mod tests {
         let baseline = document(&[("cheap", 20.0, false)]);
         let current = document(&[("cheap", 500.0, false), ("new-table", 9999.0, false)]);
         assert!(gate(&baseline, &current, 1.5).is_ok());
+    }
+
+    #[test]
+    fn baseline_tables_missing_from_the_current_run_fail() {
+        let baseline = document(&[("fig2-smoke", 1000.0, false), ("kmachine-exec", 2.0, false)]);
+        let dropped = document(&[("fig2-smoke", 1000.0, false)]);
+        let failures = gate(&baseline, &dropped, 1.5).unwrap_err();
+        assert!(failures.contains("kmachine-exec"), "{failures}");
     }
 
     #[test]

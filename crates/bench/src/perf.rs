@@ -1,14 +1,16 @@
 //! Micro perf measurements recorded into `BENCH_results.json` and asserted
 //! by the perf-smoke acceptance test.
 //!
-//! The headline perf claim of the prefix-scan sweep — one incremental pass
-//! over the merged candidate order instead of an `O(Σ|S|)` re-scan per
-//! candidate size — is measured here on a quick-scale Figure 4a instance
-//! (the sparse 8-block PPM whose accuracy the ensemble/assembly stack was
-//! built for), so the speedup travels with every CI artifact instead of
-//! living in a one-off PR description.
+//! The measurements run on Figure 4a instances (the sparse 8-block PPM whose
+//! accuracy the ensemble/assembly stack was built for), so the ratios
+//! travel with every CI artifact instead of living in a one-off PR
+//! description. The headline claim of the renormalised sweep — one
+//! incremental prefix scan over the merged candidate order instead of an
+//! `O(Σ|S|) ≈ 24n` re-scan per candidate size — is held as a ratio of two
+//! production kernels: one sweep costs no more than a small multiple of one
+//! walk step on the same state.
 //!
-//! Every measurement here compares two kernels on identical work, and
+//! Every measurement here compares two kernels on comparable work, and
 //! `best_of_pair` times the two alternately inside each sample round, so a
 //! load burst from a neighbouring process lands on both sides of the ratio
 //! instead of on whichever side happened to be running.
@@ -17,25 +19,29 @@ use std::time::Instant;
 
 use cdrw_gen::{generate_ppm, PpmParams};
 use cdrw_graph::Graph;
-use cdrw_walk::{LocalMixingConfig, MixingCriterion, WalkBatch, WalkEngine};
+use cdrw_walk::{largest_mixing_set, LocalMixingConfig, MixingCriterion, WalkBatch, WalkEngine};
 
-/// Measured sweep timings on the fig4a-sized instance.
+/// Measured renormalised-sweep timings against one walk step on the same
+/// fig4a-sized walk state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepSpeedup {
+pub struct SweepCost {
     /// Vertices of the instance.
     pub n: usize,
     /// Support size of the measured walk state.
     pub support: usize,
-    /// Best-of-samples time of one per-size reference sweep, in nanoseconds.
-    pub per_size_ns: f64,
-    /// Best-of-samples time of one prefix-scan sweep, in nanoseconds.
-    pub prefix_ns: f64,
+    /// Best-of-samples time of one prefix-scan [`WalkEngine::sweep`], in
+    /// nanoseconds.
+    pub sweep_ns: f64,
+    /// Best-of-samples time of one solo [`WalkEngine::step`], in
+    /// nanoseconds.
+    pub step_ns: f64,
 }
 
-impl SweepSpeedup {
-    /// How many times faster the prefix scan is.
-    pub fn speedup(&self) -> f64 {
-        self.per_size_ns / self.prefix_ns
+impl SweepCost {
+    /// The sweep's cost in walk steps (the perf-smoke acceptance bar is
+    /// ≤ 2.0; a per-size re-scan would read ≈ 8).
+    pub fn ratio(&self) -> f64 {
+        self.sweep_ns / self.step_ns
     }
 }
 
@@ -91,8 +97,9 @@ impl BatchStepSpeedup {
 }
 
 /// The Figure 4a sparse cell at `n` vertices: 8 blocks, `p = 2·(ln n)²/n`,
-/// `p/q = 2^0.6·ln n`, generated with seed 20190416.
-fn fig4a_instance(n: usize) -> Graph {
+/// `p/q = 2^0.6·ln n`, generated with seed 20190416 — the regime the
+/// renormalised sweep and the ensemble's follow-up walks run hottest on.
+pub fn fig4a_instance(n: usize) -> Graph {
     let ln_n = (n as f64).ln();
     let p = 2.0 * ln_n * ln_n / n as f64;
     let q = p / (2f64.powf(0.6) * ln_n);
@@ -210,7 +217,7 @@ pub fn measure_step_overhead() -> StepOverhead {
 /// returning the per-run nanoseconds of each. Every sample round times `a`
 /// and then `b` (A, B, A, B, …), so no stretch of machine load can fall on
 /// one side only.
-fn best_of_pair<A: FnMut(), B: FnMut()>(
+pub fn best_of_pair<A: FnMut(), B: FnMut()>(
     mut a: A,
     mut b: B,
     iterations: u32,
@@ -231,12 +238,14 @@ fn best_of_pair<A: FnMut(), B: FnMut()>(
     (best_a, best_b)
 }
 
-/// Measures the renormalised sweep both ways — prefix scan
-/// ([`WalkEngine::sweep`]) against the per-size reference
-/// ([`WalkEngine::sweep_per_size`]) — on a quick-scale Figure 4a instance
-/// (8 blocks of 256, `p = 2·(ln n)²/n`, `p/q = 2^0.6·ln n`), on a walk state
-/// spread far enough that candidate prefixes are long.
-pub fn measure_sweep_speedup() -> SweepSpeedup {
+/// Measures one renormalised prefix-scan sweep ([`WalkEngine::sweep`])
+/// against one solo [`WalkEngine::step`] on a quick-scale Figure 4a instance
+/// (8 blocks of 256, `p = 2·(ln n)²/n`, `p/q = 2^0.6·ln n`). The walk is
+/// first spread for 16 steps to near-global support, where the sweep's
+/// candidate prefixes are long and every step does the same work, and the
+/// sweep's set is checked against the dense [`largest_mixing_set`] before
+/// timing.
+pub fn measure_sweep_speedup() -> SweepCost {
     let n = 2048usize;
     let graph = fig4a_instance(n);
 
@@ -245,36 +254,33 @@ pub fn measure_sweep_speedup() -> SweepSpeedup {
         criterion: MixingCriterion::Renormalized,
         ..LocalMixingConfig::for_graph_size(n)
     };
-    let mut workspace = engine.workspace();
-    workspace.load_point_mass(0).expect("vertex 0 exists");
-    for _ in 0..8 {
-        engine.step(&mut workspace);
+    let mut step_ws = engine.workspace();
+    step_ws.load_point_mass(0).expect("vertex 0 exists");
+    for _ in 0..16 {
+        engine.step(&mut step_ws);
     }
-    let support = workspace.support_size();
+    let support = step_ws.support_size();
 
-    // Equal-work sanity check before timing: both paths agree on this state.
-    let fast = engine.sweep(&mut workspace, &config).expect("sweep runs");
-    let reference = engine
-        .sweep_per_size(&mut workspace, &config)
-        .expect("reference sweep runs");
-    assert_eq!(fast.set, reference.set, "sweep paths diverged");
+    // The swept state stays fixed while the stepped one moves on.
+    let mut sweep_ws = step_ws.clone();
+    let swept = engine.sweep(&mut sweep_ws, &config).expect("sweep runs");
+    let dense = step_ws.to_distribution().expect("the walk state is finite");
+    let reference = largest_mixing_set(&graph, &dense, &config).expect("dense sweep runs");
+    assert_eq!(swept.set, reference.set, "sweep diverged from dense");
 
-    let mut reference_ws = workspace.clone();
-    let (per_size_ns, prefix_ns) = best_of_pair(
+    let (sweep_ns, step_ns) = best_of_pair(
         || {
-            let _ = engine.sweep_per_size(&mut reference_ws, &config).unwrap();
+            let _ = engine.sweep(&mut sweep_ws, &config).unwrap();
         },
-        || {
-            let _ = engine.sweep(&mut workspace, &config).unwrap();
-        },
+        || engine.step(&mut step_ws),
         10,
-        8,
+        16,
     );
-    SweepSpeedup {
+    SweepCost {
         n,
         support,
-        per_size_ns,
-        prefix_ns,
+        sweep_ns,
+        step_ns,
     }
 }
 
@@ -306,13 +312,13 @@ mod tests {
     }
 
     #[test]
-    fn speedup_ratio_reads_from_the_timings() {
-        let measured = SweepSpeedup {
+    fn sweep_cost_ratio_reads_from_the_timings() {
+        let measured = SweepCost {
             n: 2048,
-            support: 1000,
-            per_size_ns: 50_000.0,
-            prefix_ns: 5_000.0,
+            support: 2048,
+            sweep_ns: 60_000.0,
+            step_ns: 100_000.0,
         };
-        assert!((measured.speedup() - 10.0).abs() < 1e-12);
+        assert!((measured.ratio() - 0.6).abs() < 1e-12);
     }
 }

@@ -36,34 +36,35 @@
 //! # Per-step sweep cost (renormalised criterion)
 //!
 //! The candidate sizes grow geometrically (`R, (1+1/8e)R, …, n`), so their
-//! sum is `Θ(n)` with a large constant (≈ 24n). Before this revision every
-//! size re-merged and re-scored its candidate prefix from scratch; now the
-//! merged order, its running mass and its running volume are built once and
-//! every size is answered from prefix sums plus one binary search:
+//! sum is `Θ(n)` with a large constant (≈ 24n). Re-merging and re-scoring
+//! the candidate prefix of every size from scratch would cost that sum per
+//! sweep; instead the merged order, its running mass and its running volume
+//! are built once and every size is answered from prefix sums plus one
+//! binary search:
 //!
 //! | path | cost per sweep |
 //! |---|---|
 //! | dense reference ([`crate::largest_mixing_set`]) | `O(n log n)` **per size** — `Θ(n² )`-ish overall |
-//! | per-size sparse sweep ([`WalkEngine::sweep_per_size`]) | `O(\|support\| + n + Σ\|S\|) ≈ O(24·n)` |
 //! | prefix scan ([`WalkEngine::sweep`]) | `O(\|support\| + n + sizes·log n)` |
 //!
-//! Neither sparse path sorts. The pass that filters the degree order into
-//! the tail also emits the support in `(weighted degree, id)` order, and a
-//! stable LSD radix pass on the affinity's bit pattern turns that into
+//! The prefix scan does not sort. The pass that filters the degree order
+//! into the tail also emits the support in `(weighted degree, id)` order,
+//! and a stable LSD radix pass on the affinity's bit pattern turns that into
 //! "affinity descending, then `(weighted degree, id)`" — the dense sweep's
 //! comparator order — in `O(|support|)` per radix digit that varies.
 //!
 //! The candidate *order* — and therefore every candidate prefix — is
-//! identical across all three paths by construction (same keys, same
+//! identical to the dense sweep's by construction (same keys, same
 //! tie-breaking total order). The per-size `score_sum` is regrouped by the
 //! prefix scan and so may differ from the per-term sum in the last few
 //! bits; since `holds` compares that score against the fixed `1/2e`
 //! threshold, a score landing *within that rounding band of the threshold
 //! itself* could in principle decide differently. No such boundary
 //! coincidence has been observed — the property tests pin sets and
-//! decisions exactly across randomized graphs and all four criteria, and
-//! the committed `ci/baselines/` experiment tables regenerated bit-identical
-//! when the prefix scan replaced the per-size path.
+//! decisions against [`crate::largest_mixing_set`] exactly across
+//! randomized graphs and all four criteria, and the committed
+//! `ci/baselines/` experiment tables regenerated bit-identical when the
+//! prefix scan replaced the per-size path.
 //!
 //! # Per-vertex memory (bookkeeping state)
 //!
@@ -75,7 +76,7 @@
 //!
 //! | layout | membership plane | total resident @ `n = 2²⁰` per workspace/lane |
 //! |---|---|---|
-//! | epoch stamps (pre-mask, kept in [`crate::stamp_reference`]) | 8 B/vertex (8 MiB @ 2²⁰) | ≈ 24 MiB |
+//! | epoch stamps (pre-mask, retired) | 8 B/vertex (8 MiB @ 2²⁰) | ≈ 24 MiB |
 //! | bit-packed mask ([`WalkWorkspace`]) | 1 bit/vertex (128 KiB @ 2²⁰) | ≈ 16.1 MiB |
 //! | interleaved scratch ([`crate::WalkBatch`], once per batch, not per lane) | 1 B/vertex touched-lane bits (1 MiB @ 2²⁰) | `n·W·8 B + n B`: ≈ 33 MiB at `W = 4`, ≈ 65 MiB at `W = 8` |
 //!
@@ -373,49 +374,6 @@ impl<'g> WalkEngine<'g> {
         Ok(LocalMixingOutcome { set: best, checks })
     }
 
-    /// The pre-prefix-scan sweep: identical decision logic to
-    /// [`WalkEngine::sweep`], but the renormalised criterion re-merges and
-    /// re-scores its candidate prefix from scratch for every candidate size
-    /// (`O(Σ|S|)` per sweep instead of one incremental pass). Kept as the
-    /// reference implementation the prefix scan is property-test-pinned
-    /// against and micro-benchmarked against (`substrate_micro`); hot paths
-    /// should always call [`WalkEngine::sweep`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`WalkEngine::sweep`].
-    pub fn sweep_per_size(
-        &self,
-        workspace: &mut WalkWorkspace,
-        config: &LocalMixingConfig,
-    ) -> Result<LocalMixingOutcome, WalkError> {
-        self.prepare_sweep(workspace, config)?;
-        let stop_early = config.stop_at_first_failure && config.criterion.stops_at_first_failure();
-        let mut best: Option<Vec<VertexId>> = None;
-        let mut checks = Vec::new();
-        for size in config.candidate_sizes(self.graph.num_vertices()) {
-            let (check, members) = match config.criterion {
-                MixingCriterion::Strict | MixingCriterion::Lazy(_) => {
-                    self.check_size(workspace, size, config.threshold, false)
-                }
-                MixingCriterion::Adaptive => {
-                    self.check_size(workspace, size, config.threshold, true)
-                }
-                MixingCriterion::Renormalized => {
-                    self.check_size_renormalized(workspace, size, config.threshold)
-                }
-            };
-            let holds = check.holds;
-            checks.push(check);
-            if holds {
-                best = members;
-            } else if stop_early && best.is_some() {
-                break;
-            }
-        }
-        Ok(LocalMixingOutcome { set: best, checks })
-    }
-
     /// Shared sweep prologue: validation, the per-sweep tail (degree-sorted
     /// non-support vertices, so per-size candidate assembly never re-skips
     /// support entries), and — for the renormalised criterion — the affinity
@@ -496,7 +454,7 @@ impl<'g> WalkEngine<'g> {
     ///
     /// with `mass_*`/`vol_*` read off prefix sums of the walk mass and the
     /// degrees on either side of the crossing. The candidate prefixes are
-    /// identical to the per-size path by construction; the regrouped `score`
+    /// identical to the dense sweep's by construction; the regrouped `score`
     /// may differ from the per-term sum in the last bits, which matters for
     /// a `holds` decision only in the (never observed, property-pinned
     /// absent) case of a score landing within that rounding band of the
@@ -510,10 +468,9 @@ impl<'g> WalkEngine<'g> {
         let n = graph.num_vertices();
         let sizes = config.candidate_sizes(n);
 
-        // One merge for all sizes: the same order `check_size_renormalized`
-        // rebuilds per size. The sizes end at `n` and the support entries
-        // carrying mass plus the tail are all `n` vertices, so the merge
-        // covers everything.
+        // One merge for all sizes: the dense sweep's global affinity order.
+        // The sizes end at `n` and the support entries carrying mass plus
+        // the tail are all `n` vertices, so the merge covers everything.
         let WalkWorkspace {
             current,
             affinity,
@@ -674,82 +631,6 @@ impl<'g> WalkEngine<'g> {
             (check, None)
         }
     }
-
-    /// Checks the renormalised restricted-score condition for one candidate
-    /// size in `O(size)` (after the per-sweep affinity order): the candidate
-    /// prefix is a merge of the affinity-sorted support with the degree-order
-    /// prefix of the zero-mass tail, which reproduces the dense
-    /// implementation's global affinity sort exactly. Only used by the
-    /// [`WalkEngine::sweep_per_size`] reference path — the hot sweep answers
-    /// every size from one incremental prefix scan instead.
-    fn check_size_renormalized(
-        &self,
-        ws: &mut WalkWorkspace,
-        size: usize,
-        threshold: f64,
-    ) -> (MixingCheck, Option<Vec<VertexId>>) {
-        let graph = self.graph;
-        let n = graph.num_vertices();
-        let average_volume = graph.weighted_volume() / n as f64 * size as f64;
-
-        // Merge the two key-sorted sequences into the candidate prefix.
-        // Support entries carry their probability; the zero-mass tail (never
-        // in the support) contributes (0.0, v) in (weighted degree, id)
-        // order, which is how the dense comparator orders the affinity ties.
-        ws.candidates.clear();
-        let mut ai = 0usize;
-        let mut di = 0usize;
-        while ws.candidates.len() < size {
-            let take_support = if ai < ws.affinity.len() {
-                if di >= ws.tail.len() {
-                    true
-                } else {
-                    let (ratio, u) = ws.affinity[ai];
-                    // The tail's affinity is exactly 0, so any positive
-                    // support affinity wins; a support vertex whose mass
-                    // underflowed to 0 ties and falls back to (weighted
-                    // degree, id).
-                    ratio > 0.0 || degree_key_cmp(graph, u, ws.tail[di]).is_lt()
-                }
-            } else {
-                false
-            };
-            if take_support {
-                let (_, u) = ws.affinity[ai];
-                ai += 1;
-                ws.candidates.push((ws.current[u], u));
-            } else if di < ws.tail.len() {
-                ws.candidates.push((0.0, ws.tail[di]));
-                di += 1;
-            } else {
-                break;
-            }
-        }
-
-        let selected = &ws.candidates[..];
-        let retained: f64 = selected.iter().map(|&(p, _)| p).sum();
-        let score_sum: f64 = if retained > 0.0 {
-            selected
-                .iter()
-                .map(|&(p, v)| (p / retained - graph.weighted_degree(v) / average_volume).abs())
-                .sum()
-        } else {
-            f64::INFINITY
-        };
-        let holds = score_sum < threshold;
-        let check = MixingCheck {
-            size,
-            score_sum,
-            holds,
-        };
-        if holds {
-            let mut members: Vec<VertexId> = selected.iter().map(|&(_, v)| v).collect();
-            members.sort_unstable();
-            (check, Some(members))
-        } else {
-            (check, None)
-        }
-    }
 }
 
 /// Total order on vertices by `(weighted degree, id)` — the candidate
@@ -863,10 +744,9 @@ pub struct WalkWorkspace {
     /// exactly the incoming support, which is read back from it in
     /// ascending order.
     pub(crate) mask: BitMask,
-    /// Sweep scratch: `(score, vertex)` candidate pairs (strict/adaptive
-    /// criteria), `(probability, vertex)` merged prefixes (the renormalised
-    /// per-size reference), or the ping-pong buffer of the affinity radix
-    /// sort (the renormalised prefix scan).
+    /// Sweep scratch: `(score, vertex)` candidate pairs (strict, lazy and
+    /// adaptive criteria) or the ping-pong buffer of the affinity radix sort
+    /// (the renormalised prefix scan).
     candidates: Vec<(f64, VertexId)>,
     /// Renormalised-sweep scratch: the support vertices carrying mass,
     /// ordered by walk affinity `p(u)/d(u)` descending with ties in
@@ -1348,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn prefix_scan_matches_per_size_sweep_on_a_sparse_ppm() {
+    fn prefix_scan_matches_dense_sweep_on_a_sparse_ppm() {
         // A fig4a-shaped sparse instance at a size where the prefix scan's
         // regrouped score actually exercises long prefixes.
         let n = 1024;
@@ -1363,15 +1243,13 @@ mod tests {
             ..LocalMixingConfig::for_graph_size(n)
         };
         let mut ws = engine.workspace();
-        let mut reference_ws = engine.workspace();
         for seed in [0usize, 300, 777] {
             ws.load_point_mass(seed).unwrap();
-            reference_ws.load_point_mass(seed).unwrap();
             for _ in 0..10 {
                 engine.step(&mut ws);
-                engine.step(&mut reference_ws);
                 let fast = engine.sweep(&mut ws, &config).unwrap();
-                let reference = engine.sweep_per_size(&mut reference_ws, &config).unwrap();
+                let reference =
+                    largest_mixing_set(&graph, &ws.to_distribution().unwrap(), &config).unwrap();
                 assert_eq!(fast.set, reference.set, "seed {seed}");
                 assert_eq!(fast.checks.len(), reference.checks.len());
                 for (f, r) in fast.checks.iter().zip(&reference.checks) {
@@ -1439,13 +1317,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Under every [`MixingCriterion`], the prefix-scan sweep selects the
-        /// same sets and makes the same pass/fail decisions as the per-size
-        /// reference sweep on arbitrary graphs and walk lengths — the pin for
-        /// the incremental renormalised pass (the other criteria share the
-        /// per-size code path and must stay untouched).
+        /// Under every [`MixingCriterion`], the sparse sweep selects the same
+        /// sets and makes the same pass/fail decisions as the dense reference
+        /// sweep on arbitrary graphs and walk lengths — the pin for the
+        /// renormalised prefix scan and for the per-size `check_size` path
+        /// of the other criteria.
         #[test]
-        fn prefix_scan_sweep_matches_per_size_sweep(
+        fn criteria_sweeps_match_dense_reference(
             edges in proptest::collection::vec((0usize..24, 0usize..24), 1..160),
             source in 0usize..24,
             steps in 0usize..10,
@@ -1458,53 +1336,10 @@ mod tests {
             let g = GraphBuilder::from_edges(24, clean).unwrap();
             let criterion = MixingCriterion::all()[criterion_index];
             let engine = WalkEngine::lazy(&g, criterion.laziness());
-            let mut ws = engine.workspace();
-            ws.load_point_mass(source).unwrap();
-            for _ in 0..steps {
-                engine.step(&mut ws);
-            }
-            let config = LocalMixingConfig {
-                criterion,
-                min_size: 2,
-                ..LocalMixingConfig::default()
-            };
-            let fast = engine.sweep(&mut ws, &config).unwrap();
-            let reference = engine.sweep_per_size(&mut ws, &config).unwrap();
-            prop_assert_eq!(&fast.set, &reference.set, "criterion {}", criterion.name());
-            prop_assert_eq!(fast.checks.len(), reference.checks.len());
-            for (f, r) in fast.checks.iter().zip(&reference.checks) {
-                prop_assert_eq!(f.size, r.size);
-                prop_assert_eq!(f.holds, r.holds, "criterion {} at size {}", criterion.name(), f.size);
-                prop_assert!(
-                    (f.score_sum - r.score_sum).abs() < 1e-9
-                        || (f.score_sum.is_infinite() && r.score_sum.is_infinite()),
-                    "score sums diverged at size {}: {} vs {}",
-                    f.size, f.score_sum, r.score_sum
-                );
-            }
-        }
-
-        /// Under every [`MixingCriterion`], the sparse sweep selects the same
-        /// sets and makes the same pass/fail decisions as the dense reference
-        /// sweep on arbitrary graphs and walk lengths.
-        #[test]
-        fn criteria_sweeps_match_dense_reference(
-            edges in proptest::collection::vec((0usize..14, 0usize..14), 1..80),
-            source in 0usize..14,
-            steps in 0usize..8,
-            criterion_index in 0usize..4,
-        ) {
-            use proptest::{prop_assert, prop_assert_eq, prop_assume};
-
-            let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
-            prop_assume!(!clean.is_empty());
-            let g = GraphBuilder::from_edges(14, clean).unwrap();
-            let criterion = MixingCriterion::all()[criterion_index];
-            let engine = WalkEngine::lazy(&g, criterion.laziness());
             let operator = WalkOperator::lazy(&g, criterion.laziness());
             let mut ws = engine.workspace();
             ws.load_point_mass(source).unwrap();
-            let mut dense = WalkDistribution::point_mass(14, source).unwrap();
+            let mut dense = WalkDistribution::point_mass(24, source).unwrap();
             for _ in 0..steps {
                 engine.step(&mut ws);
                 dense = operator.step_dense(&dense);
@@ -1595,47 +1430,48 @@ mod tests {
         }
 
         /// On arbitrary graphs, laziness values, and walk lengths, the sparse
-        /// engine's distribution and local-mixing outcomes agree with the
-        /// dense reference path within 1e-12 (the distributions are in fact
-        /// bit-identical; the mixing sets are identical as sets).
+        /// engine's distribution is bit-identical to the dense reference
+        /// after every step, its support is exactly the dense non-zeros, and
+        /// its local-mixing outcome selects the same set. One workspace is
+        /// re-seeded for every source, which exercises the mask-clear paths
+        /// the way `detect_all` does.
         #[test]
         fn sparse_engine_matches_dense_reference(
-            edges in proptest::collection::vec((0usize..16, 0usize..16), 1..100),
-            source in 0usize..16,
+            edges in proptest::collection::vec((0usize..20, 0usize..20), 1..120),
+            sources in proptest::collection::vec(0usize..20, 1..4),
             laziness in 0.0f64..1.0,
-            steps in 0usize..8,
+            steps in 0usize..10,
         ) {
             use proptest::{prop_assert, prop_assert_eq, prop_assume};
 
             let clean: Vec<_> = edges.into_iter().filter(|(u, v)| u != v).collect();
             prop_assume!(!clean.is_empty());
-            let g = GraphBuilder::from_edges(16, clean).unwrap();
+            let g = GraphBuilder::from_edges(20, clean).unwrap();
             let engine = WalkEngine::lazy(&g, laziness);
             let operator = WalkOperator::lazy(&g, laziness);
+            let config = LocalMixingConfig {
+                min_size: 2,
+                ..LocalMixingConfig::default()
+            };
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             let mut ws = engine.workspace();
-            ws.load_point_mass(source).unwrap();
-            let mut dense = WalkDistribution::point_mass(16, source).unwrap();
-            for _ in 0..steps {
-                engine.step(&mut ws);
-                dense = operator.step_dense(&dense);
-            }
-            for v in 0..16 {
-                prop_assert!(
-                    (ws.probability(v) - dense.probability(v)).abs() <= 1e-12,
-                    "probability diverged at {}: {} vs {}",
-                    v, ws.probability(v), dense.probability(v)
-                );
-            }
-            // The support must be exactly the non-zero entries.
-            for v in 0..16 {
-                let in_support = ws.support().binary_search(&v).is_ok();
-                prop_assert_eq!(in_support, ws.probability(v) != 0.0);
-            }
-            if g.total_volume() > 0 {
-                let config = LocalMixingConfig {
-                    min_size: 2,
-                    ..LocalMixingConfig::default()
-                };
+            for &source in &sources {
+                ws.load_point_mass(source).unwrap();
+                let mut dense = WalkDistribution::point_mass(20, source).unwrap();
+                for step in 0..steps {
+                    engine.step(&mut ws);
+                    dense = operator.step_dense(&dense);
+                    prop_assert_eq!(
+                        bits(ws.as_slice()),
+                        bits(dense.as_slice()),
+                        "mass diverged at step {} from seed {}",
+                        step,
+                        source
+                    );
+                    let non_zero: Vec<VertexId> =
+                        g.vertices().filter(|&v| dense.probability(v) != 0.0).collect();
+                    prop_assert_eq!(ws.support(), non_zero.as_slice());
+                }
                 let sparse = engine.sweep(&mut ws, &config).unwrap();
                 let dense_outcome = largest_mixing_set(&g, &dense, &config).unwrap();
                 prop_assert_eq!(&sparse.set, &dense_outcome.set);

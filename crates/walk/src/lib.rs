@@ -56,15 +56,16 @@
 //!   ([`mask::BitMask`], one bit per vertex) instead of the former
 //!   8-bytes-per-vertex epoch stamps, so the membership test in the hot
 //!   accumulation loop touches 64× less memory; the [`WalkEngine`] module
-//!   docs carry the memory table and [`stamp_reference`] preserves the old
-//!   layout as the correctness/perf rail.
+//!   docs carry the memory table.
 //!
-//! The engine is bit-for-bit equivalent to the dense reference for stepping
-//! (identical accumulation order) and selects identical mixing sets (same
-//! score expressions, same tie-breaking total order); only the reported
-//! `score_sum` of a sweep check may differ in the last bits because the
-//! summation order differs (for the prefix scan, because the per-size score
-//! is regrouped around the affinity crossing).
+//! The dense [`WalkOperator::step_dense`] and [`largest_mixing_set`] are the
+//! single oracle every fast kernel is pinned against. The engine is
+//! bit-for-bit equivalent to it for stepping (identical accumulation order)
+//! and selects identical mixing sets (same score expressions, same
+//! tie-breaking total order); only the reported `score_sum` of a sweep
+//! check may differ in the last bits because the summation order differs
+//! (for the prefix scan, because the per-size score is regrouped around the
+//! affinity crossing).
 //!
 //! ## Pluggable mixing criteria
 //!
@@ -104,8 +105,6 @@
 //!   kept as the reference the sparse sweep is compared against.
 //! * [`mixing`] — global mixing time `τ_mix(ε)` estimation, spectral gap via
 //!   power iteration.
-//! * [`sampled`] — token-based sampled walks, used only by tests to
-//!   cross-check the deterministic push operator.
 //!
 //! # Example
 //!
@@ -144,9 +143,7 @@ pub mod evidence;
 pub mod local_mixing;
 pub mod mask;
 pub mod mixing;
-pub mod sampled;
 pub mod shard;
-pub mod stamp_reference;
 mod step;
 
 pub use batch::WalkBatch;

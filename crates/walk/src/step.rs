@@ -324,6 +324,64 @@ mod tests {
         assert!(pi.l1_distance(&op.step(&pi)) < 1e-12);
     }
 
+    /// Adds to `out` the probability of every walk of `steps` moves from
+    /// `u`, entered with probability `p`: a move to neighbour `v` has
+    /// probability `(1 − α)·w(u,v)/w(u)`, a stay `α`, and a vertex without
+    /// edges keeps the walker.
+    fn enumerate_walks(g: &Graph, alpha: f64, u: usize, p: f64, steps: usize, out: &mut [f64]) {
+        if steps == 0 {
+            out[u] += p;
+        } else if g.degree(u) == 0 {
+            enumerate_walks(g, alpha, u, p, steps - 1, out);
+        } else {
+            if alpha > 0.0 {
+                enumerate_walks(g, alpha, u, p * alpha, steps - 1, out);
+            }
+            let move_p = p * (1.0 - alpha) / g.weighted_degree(u);
+            for (i, &v) in g.neighbor_slice(u).iter().enumerate() {
+                let w = g.weight_slice(u).map_or(1.0, |row| row[i]);
+                enumerate_walks(g, alpha, v, move_p * w, steps - 1, out);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_step_matches_every_enumerated_walk() {
+        // An irregular graph (degrees 1 to 4, odd cycles) and a weighted
+        // graph whose vertex 5 is isolated: every walk of length ≤ 4 from
+        // every source, simple and lazy, sums to the dense distribution.
+        let pairs = [0, 1, 0, 2, 0, 3, 1, 2, 2, 5, 3, 4, 4, 5, 4, 6, 5, 6];
+        let irregular = GraphBuilder::from_edges(7, pairs.chunks(2).map(|e| (e[0], e[1]))).unwrap();
+        let weighted_pairs = [0, 1, 0, 2, 1, 2, 2, 3, 3, 4];
+        let mut b = GraphBuilder::new(6);
+        for (e, w) in weighted_pairs.chunks(2).zip([0.5, 2.0, 1.0, 3.0, 0.25]) {
+            b.add_weighted_edge(e[0], e[1], w).unwrap();
+        }
+        let weighted = b.build();
+        assert_eq!(weighted.degree(5), 0);
+        for graph in [&irregular, &weighted] {
+            let n = graph.num_vertices();
+            for alpha in [0.0, 0.3] {
+                let op = WalkOperator::lazy(graph, alpha);
+                for source in 0..n {
+                    let mut dense = WalkDistribution::point_mass(n, source).unwrap();
+                    for steps in 0..=4 {
+                        let mut exact = vec![0.0; n];
+                        enumerate_walks(graph, alpha, source, 1.0, steps, &mut exact);
+                        for (v, &e) in exact.iter().enumerate() {
+                            let d = dense.probability(v);
+                            assert!(
+                                (d - e).abs() <= 1e-15,
+                                "α {alpha}, source {source}, {steps} steps, vertex {v}: {d} vs {e}"
+                            );
+                        }
+                        dense = op.step_dense(&dense);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "distribution is over")]
     fn mismatched_distribution_panics() {
