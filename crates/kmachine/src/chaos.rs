@@ -23,7 +23,7 @@
 //!
 //! Crashes fire exactly once: the consumed state lives in the shared
 //! [`ChaosHarness`], so a replacement shard wrapped from the same harness
-//! does not instantly re-crash while replaying the same sequence numbers.
+//! does not instantly re-crash when it redoes the round that crashed it.
 //! The per-identity attempt counters are shared the same way — per shard
 //! slot, across instances — so a replacement continues its predecessor's
 //! attempt sequence instead of replaying its exact fate rolls (which would
@@ -247,18 +247,10 @@ fn unit(x: u64) -> f64 {
 /// control-plane traffic (`Halt`).
 fn identity(message: &Message, endpoint: Peer) -> Option<u64> {
     let (tag, a, b): (u64, u64, u64) = match message {
-        Message::LoadLanes { seq, .. } => (1, *seq, 0),
         Message::Step { seq, .. } => (2, *seq, 0),
         Message::Deltas { seq, from, .. } => (3, *seq, *from as u64),
         Message::StepDone { seq, shard, .. } => (4, *seq, *shard as u64),
-        Message::Nack { shard, expected } => (5, *expected, *shard as u64),
         Message::Busy { seq, shard } => (8, *seq, *shard as u64),
-        Message::Checkpoint { seq, shard, .. } => (6, *seq, *shard as u64),
-        Message::Assist {
-            shard,
-            from_seq,
-            to_seq,
-        } => (7, from_seq.wrapping_shl(20) ^ to_seq, *shard as u64),
         Message::Halt => return None,
     };
     let end = match endpoint {
@@ -343,7 +335,7 @@ impl<T: Transport> ChaosTransport<T> {
     /// message. `Ok(None)` means the message was consumed by a fault (the
     /// caller should try again within its own deadline budget).
     fn filter_incoming(&mut self, message: Message) -> Result<Option<Message>, TransportError> {
-        if let Message::Step { seq, .. } | Message::LoadLanes { seq, .. } = &message {
+        if let Message::Step { seq, .. } = &message {
             if self.check_crash(*seq) {
                 return Err(TransportError::Disconnected);
             }
@@ -467,6 +459,7 @@ mod tests {
             .collect();
         links.broadcast(&Message::Step {
             seq: 1,
+            loads: Vec::new(),
             lanes: vec![0],
         });
         for t in &mut chaos {
@@ -494,6 +487,7 @@ mod tests {
             0,
             Message::Step {
                 seq: 1,
+                loads: Vec::new(),
                 lanes: vec![],
             },
         );
@@ -502,19 +496,14 @@ mod tests {
             0,
             Message::Step {
                 seq: 2,
+                loads: Vec::new(),
                 lanes: vec![],
             },
         );
         assert!(matches!(chaos.recv(), Err(TransportError::Disconnected)));
         // Once crashed, always crashed — and sends are swallowed.
         assert!(matches!(chaos.recv(), Err(TransportError::Disconnected)));
-        chaos.send(
-            Peer::Coordinator,
-            Message::Nack {
-                shard: 0,
-                expected: 1,
-            },
-        );
+        chaos.send(Peer::Coordinator, Message::Busy { seq: 2, shard: 0 });
         assert!(matches!(
             links.recv_deadline(Duration::from_millis(5)),
             Err(TransportError::Timeout)
@@ -528,6 +517,7 @@ mod tests {
             0,
             Message::Step {
                 seq: 2,
+                loads: Vec::new(),
                 lanes: vec![],
             },
         );
@@ -553,6 +543,7 @@ mod tests {
                 0,
                 Message::Step {
                     seq: 5,
+                    loads: Vec::new(),
                     lanes: vec![],
                 },
             );

@@ -43,20 +43,23 @@
 //!
 //! ## Fault tolerance
 //!
-//! The coordinator never blocks unboundedly: every wait is a deadline
-//! ([`CoordinatorLinks::recv_deadline`]) with exponential backoff, every
-//! command carries a sequence number and is re-broadcast on timeout
-//! (duplicates are absorbed by the shards — see [`crate::shard`]), and a
-//! shard that stays silent past the retry budget is declared dead and
-//! re-materialised from its last [`Message::Checkpoint`] plus a replay of
-//! the command log (peers re-send the replay window's delta buckets on
-//! [`Message::Assist`]). Replayed and duplicate traffic is charged to a
-//! separate [`FaultLog`] — the conformance ledger counts only the first
-//! accepted reply per round, so measured-vs-modelled equality survives
-//! arbitrary recoverable fault schedules (deviation 16 in
-//! `docs/PAPER_MAP.md`). When a shard exhausts
-//! [`ResiliencePolicy::max_recoveries`] the run fails with the typed
-//! [`CdrwError::ShardFailure`] — never a hang.
+//! One rule carries it: **at most one round in flight.** Loads ride on the
+//! next [`Message::Step`], every step is answered by every shard, and round
+//! `seq + 1` is issued only after all `k` replies to round `seq`. The
+//! coordinator never blocks unboundedly: every wait is a deadline
+//! ([`CoordinatorLinks::recv_deadline`]) with exponential backoff, and a
+//! timeout re-broadcasts the round (duplicates are absorbed by the shards —
+//! see [`crate::shard`]). A shard that stays silent past the retry budget is
+//! declared dead and rebuilt from the coordinator's gathered lanes, which
+//! before the round are exactly the state after round `seq − 1` (the
+//! conformance contract above). The replacement starts at `seq − 1` and
+//! redoes the in-flight round; its peers' round-`seq` buckets arrive through
+//! the same re-broadcast. Duplicate traffic is charged to a separate
+//! [`FaultLog`] — the conformance ledger counts only the first accepted
+//! reply per round, so measured-vs-modelled equality survives arbitrary
+//! recoverable fault schedules (deviation 16 in `docs/PAPER_MAP.md`). When a
+//! shard exhausts [`ResiliencePolicy::max_recoveries`] the run fails with
+//! the typed [`CdrwError::ShardFailure`] — never a hang.
 
 use std::time::Duration;
 
@@ -68,9 +71,9 @@ use cdrw_walk::{LocalMixingConfig, LocalMixingOutcome, WalkEngine, WalkWorkspace
 
 use crate::chaos::{ChaosHarness, FaultPlan};
 use crate::partition::{PartitionStats, RandomVertexPartition};
-use crate::shard::{ShardOptions, ShardWorker};
+use crate::shard::ShardWorker;
 use crate::transport::{
-    mpsc_mesh_recoverable, CoordinatorLinks, LaneState, Message, MpscTransport, TransportError,
+    mpsc_mesh_recoverable, CoordinatorLinks, Message, MpscTransport, TransportError,
 };
 use crate::KMachineConfig;
 
@@ -125,13 +128,12 @@ pub struct WalkConformance {
 /// One shard recovery event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRecovery {
-    /// The re-materialised shard.
+    /// The rebuilt shard.
     pub shard: usize,
-    /// The command sequence number the run had reached when the shard was
-    /// declared dead.
+    /// The round in flight when the shard was declared dead.
     pub at_seq: u64,
-    /// The first command sequence number the replacement replayed (one past
-    /// its restored checkpoint).
+    /// The first round the replacement ran: always `at_seq`, the in-flight
+    /// round it redoes.
     pub replay_from: u64,
 }
 
@@ -145,17 +147,15 @@ pub struct FaultLog {
     pub timeouts: u64,
     /// Command re-broadcasts after a timeout.
     pub retries: u64,
-    /// Sequence-gap complaints received from shards.
-    pub nacks: u64,
-    /// Duplicate or replayed `StepDone` replies absorbed (not counted in the
+    /// Duplicate `StepDone` replies absorbed (not counted in the
     /// conformance ledger).
     pub duplicate_replies: u64,
-    /// Edge deltas carried by those duplicate/replayed replies — the
-    /// recovery overhead in model units.
+    /// Edge deltas carried by those duplicate replies — the retry overhead
+    /// in model units.
     pub replayed_messages: u64,
     /// Shards that replied only after at least one retry of a round.
     pub stragglers: u64,
-    /// Shard re-materialisations, in occurrence order.
+    /// Shard rebuilds, in occurrence order.
     pub recoveries: Vec<ShardRecovery>,
 }
 
@@ -175,14 +175,9 @@ pub struct ResiliencePolicy {
     /// Consecutive timeouts tolerated (each followed by a command
     /// re-broadcast) before the still-silent shards are declared dead.
     pub max_retries: u32,
-    /// Re-materialisations allowed per shard before the run fails with
+    /// Rebuilds allowed per shard before the run fails with
     /// [`CdrwError::ShardFailure`].
     pub max_recoveries: u32,
-    /// Shards checkpoint their lane state every this-many commands
-    /// (`0` disables checkpointing — recovery then replays from scratch,
-    /// which only works while the full command log and peer caches cover
-    /// the run).
-    pub checkpoint_interval: u64,
     /// How long a shard waits without hearing anything before assuming the
     /// run is gone and exiting (the lost-`Halt` watchdog).
     pub shard_patience: Duration,
@@ -197,7 +192,6 @@ impl Default for ResiliencePolicy {
             round_timeout: Duration::from_millis(250),
             max_retries: 4,
             max_recoveries: 2,
-            checkpoint_interval: 4,
             shard_patience: Duration::from_secs(60),
         }
     }
@@ -211,20 +205,7 @@ impl ResiliencePolicy {
             round_timeout: Duration::from_millis(15),
             max_retries: 4,
             max_recoveries: 3,
-            checkpoint_interval: 4,
             shard_patience: Duration::from_secs(10),
-        }
-    }
-
-    /// The shard-side options this policy implies.
-    fn shard_options(&self) -> ShardOptions {
-        ShardOptions {
-            checkpoint_interval: self.checkpoint_interval,
-            patience: self.shard_patience,
-            // The reply/bucket cache must cover the widest replay window a
-            // recovery can need: up to two checkpoint intervals (the latest
-            // checkpoint message may itself have been lost), plus slack.
-            cache_depth: (self.checkpoint_interval.saturating_mul(2) + 2).max(8) as usize,
         }
     }
 }
@@ -367,7 +348,7 @@ impl KMachineEngine {
         let pipeline = Pipeline::open(algorithm, graph, None)?;
         let k = partition.num_machines();
         let laziness = algorithm.criterion.laziness();
-        let options = self.resilience.shard_options();
+        let patience = self.resilience.shard_patience;
 
         let chaos = match &self.fault_plan {
             Some(plan) => {
@@ -384,45 +365,36 @@ impl KMachineEngine {
 
         let outcome = std::thread::scope(|scope| {
             // Spawns one worker thread for shard `m`, extracting its SubCsr
-            // fresh (recovery cannot reuse the dead worker's, which lives on
-            // the wedged thread) and starting from the given checkpoint
-            // (`seq == 0` with an empty checkpoint is a cold start).
-            let spawn =
-                |m: usize, transport: MpscTransport, seq: u64, checkpoint: Vec<LaneState>| {
-                    let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
-                        partition.machine_of(v) == m
-                    });
-                    let worker = ShardWorker::from_checkpoint(
-                        m,
-                        k,
-                        sub,
-                        assignment,
-                        laziness,
-                        options,
-                        seq,
-                        &checkpoint,
-                    );
-                    match &chaos {
-                        Some(harness) => {
-                            let chaotic = harness.wrap(m, transport);
-                            scope.spawn(move || {
-                                let mut chaotic = chaotic;
-                                worker.run(&mut chaotic);
-                            });
-                        }
-                        None => {
-                            scope.spawn(move || {
-                                let mut transport = transport;
-                                worker.run(&mut transport);
-                            });
-                        }
+            // fresh (a rebuild cannot reuse the dead worker's, which lives on
+            // the wedged thread) and starting after round `seq` from the
+            // gathered `lanes` (`seq == 0` with no lanes is a cold start).
+            let spawn = |m: usize, transport: MpscTransport, seq: u64, lanes: &[WalkWorkspace]| {
+                let sub = SubCsr::extract(graph, partition.vertices_of(m), |v| {
+                    partition.machine_of(v) == m
+                });
+                let worker =
+                    ShardWorker::new(m, k, sub, assignment, laziness, patience, seq, lanes);
+                match &chaos {
+                    Some(harness) => {
+                        let chaotic = harness.wrap(m, transport);
+                        scope.spawn(move || {
+                            let mut chaotic = chaotic;
+                            worker.run(&mut chaotic);
+                        });
                     }
-                };
+                    None => {
+                        scope.spawn(move || {
+                            let mut transport = transport;
+                            worker.run(&mut transport);
+                        });
+                    }
+                }
+            };
             for (m, transport) in transports.into_iter().enumerate() {
-                spawn(m, transport, 0, Vec::new());
+                spawn(m, transport, 0, &[]);
             }
-            let respawn = |m: usize, seq: u64, checkpoint: Vec<LaneState>| {
-                spawn(m, reconnector.reconnect(m), seq, checkpoint);
+            let respawn = |m: usize, seq: u64, lanes: &[WalkWorkspace]| {
+                spawn(m, reconnector.reconnect(m), seq, lanes);
             };
             let engine = WalkEngine::lazy(graph, laziness);
             let mut coordinator = Coordinator::new(engine, &links, self.resilience, &respawn);
@@ -451,23 +423,20 @@ struct Coordinator<'g, 'l> {
     engine: WalkEngine<'g>,
     links: &'l CoordinatorLinks,
     resilience: ResiliencePolicy,
-    /// Re-materialises shard `m` from `(seq, checkpoint)` on a fresh
-    /// transport (wired by the caller through the mesh's reconnector).
-    respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
+    /// Rebuilds shard `m` after round `seq` from the gathered lanes, on a
+    /// fresh transport (wired by the caller through the mesh's reconnector).
+    respawn: &'l dyn Fn(usize, u64, &[WalkWorkspace]),
     /// Per-lane gathered global distributions — bit-identical to the
     /// sequential workspaces (the shards' owned slices concatenate to them).
     lanes: Vec<WalkWorkspace>,
+    /// `(lane, seed)` loads not yet sent: they ride on the next `Step`.
+    loads: Vec<(u32, VertexId)>,
     conformance: WalkConformance,
     /// The flood of the open detection (or of the assembly phase).
     open: DetectionFlood,
-    /// Last issued command sequence number.
+    /// Last issued round.
     seq: u64,
-    /// Issued commands, ascending by seq, kept for `Nack`-triggered re-sends
-    /// and recovery replay; pruned below the oldest shard checkpoint.
-    command_log: Vec<(u64, Message)>,
-    /// Per-shard newest received checkpoint: `(seq, all-lane snapshot)`.
-    checkpoints: Vec<(u64, Vec<LaneState>)>,
-    /// Per-shard re-materialisations consumed from the resilience budget.
+    /// Per-shard rebuilds consumed from the resilience budget.
     recoveries_used: Vec<u32>,
     fault_log: FaultLog,
 }
@@ -477,9 +446,8 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         engine: WalkEngine<'g>,
         links: &'l CoordinatorLinks,
         resilience: ResiliencePolicy,
-        respawn: &'l dyn Fn(usize, u64, Vec<LaneState>),
+        respawn: &'l dyn Fn(usize, u64, &[WalkWorkspace]),
     ) -> Self {
-        let k = links.num_shards();
         Coordinator {
             graph: engine.graph(),
             engine,
@@ -487,12 +455,11 @@ impl<'g, 'l> Coordinator<'g, 'l> {
             resilience,
             respawn,
             lanes: Vec::new(),
+            loads: Vec::new(),
             conformance: WalkConformance::default(),
             open: DetectionFlood::default(),
             seq: 0,
-            command_log: Vec::new(),
-            checkpoints: vec![(0, Vec::new()); k],
-            recoveries_used: vec![0; k],
+            recoveries_used: vec![0; links.num_shards()],
             fault_log: FaultLog::default(),
         }
     }
@@ -504,58 +471,19 @@ impl<'g, 'l> Coordinator<'g, 'l> {
         }
     }
 
-    /// Issues the next command: assigns it the next sequence number,
-    /// broadcasts it, and appends it to the command log.
-    fn issue(&mut self, mut message: Message) -> u64 {
-        self.seq += 1;
-        let seq = self.seq;
-        match &mut message {
-            Message::LoadLanes { seq: s, .. } | Message::Step { seq: s, .. } => *s = seq,
-            other => unreachable!("only commands are issued: {other:?}"),
-        }
-        self.links.broadcast(&message);
-        self.command_log.push((seq, message));
-        seq
-    }
-
-    /// Re-sends the logged commands from `from` onwards to one shard.
-    fn resend_log(&self, shard: usize, from: u64) {
-        for (seq, message) in &self.command_log {
-            if *seq >= from {
-                self.links.send(shard, message.clone());
-            }
-        }
-    }
-
-    /// Drops log entries every live shard has durably passed: each shard's
-    /// recovery replays from its own checkpoint, so nothing below the oldest
-    /// checkpoint can ever be asked for again (a live shard's `Nack` always
-    /// names a seq past its own checkpoint).
-    fn prune_log(&mut self) {
-        let oldest = self
-            .checkpoints
-            .iter()
-            .map(|(seq, _)| *seq)
-            .min()
-            .unwrap_or(0);
-        if oldest > 0 {
-            self.command_log.retain(|(seq, _)| *seq > oldest);
-        }
-    }
-
-    /// Re-materialises a silent shard from its last checkpoint: respawn a
-    /// worker, ask the peers to re-send the replay window's delta buckets,
-    /// and replay the command log to it.
+    /// Rebuilds a silent shard from the gathered lanes — still the state
+    /// after round `seq − 1` while round `seq` is in flight. The replacement
+    /// redoes round `seq` when the caller re-broadcasts it.
     ///
     /// # Errors
     ///
     /// [`CdrwError::ShardFailure`] when the shard's recovery budget
     /// ([`ResiliencePolicy::max_recoveries`]) is exhausted.
-    fn recover(&mut self, shard: usize, current_seq: u64) -> Result<(), CdrwError> {
+    fn recover(&mut self, shard: usize, seq: u64) -> Result<(), CdrwError> {
         if self.recoveries_used[shard] >= self.resilience.max_recoveries {
             return Err(CdrwError::ShardFailure {
                 shard,
-                seq: current_seq,
+                seq,
                 reason: format!(
                     "silent past {} retries with all {} recoveries spent",
                     self.resilience.max_retries, self.resilience.max_recoveries
@@ -563,51 +491,13 @@ impl<'g, 'l> Coordinator<'g, 'l> {
             });
         }
         self.recoveries_used[shard] += 1;
-        let (checkpoint_seq, checkpoint) = self.checkpoints[shard].clone();
-        (self.respawn)(shard, checkpoint_seq, checkpoint);
-        let replay_from = checkpoint_seq + 1;
+        (self.respawn)(shard, seq - 1, &self.lanes);
         self.fault_log.recoveries.push(ShardRecovery {
             shard,
-            at_seq: current_seq,
-            replay_from,
+            at_seq: seq,
+            replay_from: seq,
         });
-        self.links.broadcast(&Message::Assist {
-            shard,
-            from_seq: replay_from,
-            to_seq: current_seq,
-        });
-        self.resend_log(shard, replay_from);
         Ok(())
-    }
-
-    /// Handles one non-`StepDone` shard message inside a collect loop,
-    /// marking the sender alive in `heard`.
-    fn absorb_control(&mut self, message: Message, current_seq: u64, heard: &mut [bool]) {
-        match message {
-            Message::Busy { shard, .. } => heard[shard] = true,
-            Message::Nack { shard, expected } => {
-                heard[shard] = true;
-                self.fault_log.nacks += 1;
-                self.resend_log(shard, expected);
-                if self.recoveries_used[shard] > 0 {
-                    // A replaying replacement hit a gap (its re-sent log was
-                    // itself lossy): refresh the peers' assist window too.
-                    self.links.broadcast(&Message::Assist {
-                        shard,
-                        from_seq: expected,
-                        to_seq: current_seq,
-                    });
-                }
-            }
-            Message::Checkpoint { seq, shard, lanes } => {
-                heard[shard] = true;
-                if seq > self.checkpoints[shard].0 {
-                    self.checkpoints[shard] = (seq, lanes);
-                    self.prune_log();
-                }
-            }
-            _ => {}
-        }
     }
 }
 
@@ -616,33 +506,29 @@ impl WalkExecutor for Coordinator<'_, '_> {
     /// shards and in the gathered view.
     fn load(&mut self, seeds: &[VertexId]) -> Result<(), CdrwError> {
         self.ensure_lanes(seeds.len());
-        let mut message_seeds = Vec::with_capacity(seeds.len());
+        // The loads ride on the next `Step`; this one supersedes any pending
+        // load of the same lanes.
+        self.loads.retain(|&(lane, _)| lane as usize >= seeds.len());
         for (lane, &seed) in seeds.iter().enumerate() {
             self.lanes[lane].load_point_mass(seed)?;
-            message_seeds.push((lane as u32, seed));
-        }
-        if !message_seeds.is_empty() {
-            // No direct reply: a lost copy surfaces as a `Nack` when the
-            // next `Step`'s sequence number jumps past the gap.
-            self.issue(Message::LoadLanes {
-                seq: 0,
-                seeds: message_seeds,
-            });
+            self.loads.push((lane as u32, seed));
         }
         Ok(())
     }
 
     /// One physical walk round for the given lanes: model the flood off the
-    /// pre-step gathered state, command the shards, gather the post-step
-    /// supports, and record the conformance ledger entry.
+    /// pre-step gathered state, command the shards (with the pending loads),
+    /// gather the post-step supports, and record the conformance ledger
+    /// entry.
     ///
     /// The collect loop is the resilient heart of the engine: every wait is
     /// deadline-bounded with exponential backoff, a timeout re-broadcasts
     /// the round (shards absorb duplicates idempotently), and a shard silent
     /// past [`ResiliencePolicy::max_retries`] consecutive timeouts is
-    /// declared dead and re-materialised from its checkpoint. Only the first
-    /// accepted `StepDone` per shard enters the conformance ledger; all
-    /// retry-induced traffic lands in the [`FaultLog`].
+    /// declared dead, rebuilt from the gathered lanes and sent the round
+    /// again. Only the first accepted `StepDone` per shard enters the
+    /// conformance ledger; all retry-induced traffic lands in the
+    /// [`FaultLog`].
     ///
     /// # Errors
     ///
@@ -653,10 +539,14 @@ impl WalkExecutor for Coordinator<'_, '_> {
             .iter()
             .map(|&lane| sparse_walk_step_cost(self.graph, &self.lanes[lane as usize]).messages)
             .sum();
-        let seq = self.issue(Message::Step {
-            seq: 0,
+        self.seq += 1;
+        let seq = self.seq;
+        let command = Message::Step {
+            seq,
+            loads: std::mem::take(&mut self.loads),
             lanes: lanes.to_vec(),
-        });
+        };
+        self.links.broadcast(&command);
 
         let k = self.links.num_shards();
         let mut measured = 0u64;
@@ -667,7 +557,7 @@ impl WalkExecutor for Coordinator<'_, '_> {
         // Shards heard from (any message) since the current timeout streak
         // began: a live shard blocked on a dead peer's deltas answers the
         // retry re-broadcast with `Busy`, so only the truly silent are
-        // re-materialised when the retry budget runs out.
+        // rebuilt when the retry budget runs out.
         let mut heard = vec![false; k];
         let mut done_count = 0usize;
         let mut consecutive_timeouts = 0u32;
@@ -707,7 +597,8 @@ impl WalkExecutor for Coordinator<'_, '_> {
                             .sum::<u64>();
                     }
                 }
-                Ok(other) => self.absorb_control(other, seq, &mut heard),
+                Ok(Message::Busy { shard, .. }) => heard[shard] = true,
+                Ok(_) => {}
                 // The mesh's reconnector keeps the coordinator channel open,
                 // so a disconnect here means every shard endpoint crashed at
                 // once — handled like silence: retry, then recover.
@@ -725,7 +616,7 @@ impl WalkExecutor for Coordinator<'_, '_> {
                             .collect();
                         if silent.is_empty() {
                             // Everyone claims to be alive yet the round is
-                            // stuck: break the deadlock by re-materialising
+                            // stuck: break the deadlock by rebuilding
                             // the least-recovered missing shard.
                             let fallback = (0..k)
                                 .filter(|&shard| !done[shard])
@@ -736,6 +627,9 @@ impl WalkExecutor for Coordinator<'_, '_> {
                         for shard in silent {
                             self.recover(shard, seq)?;
                         }
+                        // The replacements redo the round; the peers re-send
+                        // them their round-`seq` buckets.
+                        self.links.broadcast(&command);
                         heard.fill(false);
                         consecutive_timeouts = 0;
                     } else {
@@ -749,22 +643,7 @@ impl WalkExecutor for Coordinator<'_, '_> {
                         // their cached replies (the lost message might be
                         // theirs), stuck shards answer `Busy` and re-send
                         // their in-flight delta buckets.
-                        self.links.broadcast(&Message::Step {
-                            seq,
-                            lanes: lanes.to_vec(),
-                        });
-                        // A recovered shard still missing may be wedged in
-                        // its replay because the assist (or its re-sent
-                        // deltas) was lost: probe the peers again.
-                        for (shard, finished) in done.iter().enumerate() {
-                            if !finished && self.recoveries_used[shard] > 0 {
-                                self.links.broadcast(&Message::Assist {
-                                    shard,
-                                    from_seq: self.checkpoints[shard].0 + 1,
-                                    to_seq: seq,
-                                });
-                            }
-                        }
+                        self.links.broadcast(&command);
                     }
                 }
             }

@@ -52,7 +52,6 @@ pub use engine::{
     RoundConformance, ShardRecovery, WalkConformance,
 };
 pub use partition::{PartitionStats, RandomVertexPartition};
-pub use shard::ShardOptions;
 pub use transport::TransportError;
 
 use cdrw_congest::{CongestCdrw, CongestConfig, CongestReport};
@@ -65,8 +64,6 @@ use serde::{Deserialize, Serialize};
 pub struct KMachineConfig {
     /// Number of machines `k ≥ 2`.
     pub num_machines: usize,
-    /// Link bandwidth `B` in bits per round (the model's `O(log n)`).
-    pub bandwidth_bits: u64,
     /// Seed of the random vertex partition hash.
     pub partition_seed: u64,
     /// The CONGEST/CDRW configuration whose execution is converted.
@@ -78,7 +75,6 @@ impl KMachineConfig {
     pub fn new(num_machines: usize) -> Self {
         KMachineConfig {
             num_machines,
-            bandwidth_bits: 32,
             partition_seed: 0,
             congest: CongestConfig::default(),
         }

@@ -11,31 +11,27 @@
 //!
 //! ## Surviving a lossy transport
 //!
-//! The worker tracks the last executed command sequence number and treats
-//! every arriving command against it:
+//! The coordinator keeps one round in flight, so the worker compares each
+//! arriving `Step` with the last round it finished:
 //!
-//! * `seq == last + 1` — execute it (the normal case).
-//! * `seq ≤ last` — a duplicate (a coordinator retry, or a chaos-delayed
-//!   copy): for a `Step`, re-send the cached outgoing delta buckets and the
-//!   cached `StepDone` reply for that round; never re-execute. A duplicate
-//!   `LoadLanes` is ignored outright — re-running it would reset live walk
-//!   state.
-//! * `seq > last + 1` — a gap: reply [`Message::Nack`] naming the first
-//!   missing sequence number so the coordinator re-sends its command log.
+//! * `seq == last + 1` — apply its loads and run it (the normal case).
+//! * `seq == last` — a coordinator retry: the `StepDone` or one of this
+//!   worker's buckets went missing. Re-send the cached buckets and
+//!   `StepDone`; never re-execute.
+//! * anything older is a stale copy and is ignored.
 //!
 //! Inter-shard `Deltas` are keyed by `(seq, from)`: buckets for a future
 //! round are buffered, duplicates for an already-counted sender are
-//! discarded, and stale rounds are dropped. Every `checkpoint_interval`
-//! commands the worker ships a [`Message::Checkpoint`] snapshot of all lane
-//! supports to the coordinator — the state a replacement worker is rebuilt
-//! from ([`ShardWorker::from_checkpoint`]) after a crash, which is bit-exact
-//! because a workspace's support order survives the snapshot/restore
-//! round-trip (see [`WalkWorkspace::snapshot_sparse`]). A worker that hears
-//! nothing for the configured patience window assumes the run is gone and
-//! exits rather than blocking forever on a lost `Halt`.
+//! discarded, and stale rounds are dropped. A worker the coordinator gives
+//! up on is replaced by one built from the coordinator's gathered lanes one
+//! round back ([`ShardWorker::new`]), which redoes the in-flight round. That
+//! is bit-exact: the gathered lanes restricted to the owned vertices are the
+//! lost worker's workspaces, support order and zero-mass entries included
+//! (see [`WalkWorkspace::load_sparse`]). A worker that hears nothing for its
+//! patience window assumes the run is gone and exits rather than blocking
+//! forever on a lost `Halt`.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use cdrw_graph::{SubCsr, VertexId};
@@ -44,50 +40,9 @@ use cdrw_walk::WalkWorkspace;
 
 use crate::transport::{LaneDeltas, LaneState, Message, Peer, Transport, TransportError};
 
-/// Fault-tolerance knobs of one worker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardOptions {
-    /// Send a [`Message::Checkpoint`] after every this-many executed
-    /// commands (`0` = never checkpoint).
-    pub checkpoint_interval: u64,
-    /// Give up and exit when no message arrives for this long — the lost-
-    /// `Halt` watchdog. Generous by default: the coordinator legitimately
-    /// goes quiet between rounds while it sweeps and assembles.
-    pub patience: Duration,
-    /// How many completed rounds of outgoing buckets and `StepDone` replies
-    /// to keep for duplicate-triggered re-sends and recovery assists. Must
-    /// cover the replay window of a checkpoint-restored peer — at least two
-    /// checkpoint intervals.
-    pub cache_depth: usize,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            checkpoint_interval: 4,
-            patience: Duration::from_secs(60),
-            cache_depth: 10,
-        }
-    }
-}
-
-impl ShardOptions {
-    /// Options consistent with a checkpoint interval: the reply cache spans
-    /// two intervals (plus slack) so an assist can always cover the replay
-    /// window from the coordinator's last received checkpoint.
-    pub fn with_checkpoint_interval(interval: u64) -> Self {
-        ShardOptions {
-            checkpoint_interval: interval,
-            cache_depth: (interval.saturating_mul(2) + 2).max(8) as usize,
-            ..ShardOptions::default()
-        }
-    }
-}
-
-/// One completed round's cached artefacts, for duplicate-triggered re-sends.
+/// The last completed round's artefacts, for retry-triggered re-sends.
 #[derive(Debug)]
 struct RoundCache {
-    seq: u64,
     /// Outgoing delta buckets, indexed by destination shard (own slot empty).
     outgoing: Vec<Vec<LaneDeltas>>,
     /// The `StepDone` lanes reply.
@@ -104,30 +59,57 @@ pub struct ShardWorker<'a> {
     /// Home machine of every global vertex (delta routing table).
     machine_of: &'a [usize],
     laziness: f64,
-    options: ShardOptions,
-    /// Last executed command sequence number.
+    /// Give up and exit when no message arrives for this long — the
+    /// lost-`Halt` watchdog.
+    patience: Duration,
+    /// Last completed round.
     seq: u64,
-    /// Per-lane shard-local walk state; grown on demand by `LoadLanes`.
+    /// Per-lane shard-local walk state; grown on demand by `Step` loads.
     lanes: Vec<WalkWorkspace>,
     /// Reusable emission buffer.
     emitted: Vec<MassDelta>,
     /// Reusable per-destination delta buckets (`k` of them).
     buckets: Vec<Vec<MassDelta>>,
-    /// Completed rounds, newest last, bounded by `options.cache_depth`.
-    cache: VecDeque<RoundCache>,
+    /// Round `seq`'s artefacts (`None` until this worker completes a round).
+    last: Option<RoundCache>,
 }
 
 impl<'a> ShardWorker<'a> {
-    /// Creates the worker for shard `id` of `k`, owning `sub`.
+    /// Creates the worker for shard `id` of `k`, owning `sub`, with rounds
+    /// `1..=seq` already done and lane `i` holding the owned part of
+    /// `lanes[i]`, a global distribution. A cold start passes `seq = 0` and
+    /// no lanes; a replacement for a lost worker passes the round before the
+    /// one in flight and the coordinator's gathered lanes.
+    #[allow(clippy::too_many_arguments)] // the worker's identity plus its start state
     pub fn new(
         id: usize,
         k: usize,
         sub: SubCsr,
         machine_of: &'a [usize],
         laziness: f64,
-        options: ShardOptions,
+        patience: Duration,
+        seq: u64,
+        lanes: &[WalkWorkspace],
     ) -> Self {
         let n = sub.num_global_vertices();
+        let mut owned = Vec::new();
+        let lanes = lanes
+            .iter()
+            .map(|global| {
+                owned.clear();
+                owned.extend(
+                    global
+                        .support()
+                        .iter()
+                        .filter(|&&v| machine_of[v] == id)
+                        .map(|&v| (v, global.probability(v))),
+                );
+                let mut ws = WalkWorkspace::with_len(n);
+                ws.load_sparse(&owned)
+                    .expect("gathered support is ascending and in range");
+                ws
+            })
+            .collect();
         ShardWorker {
             id,
             k,
@@ -135,87 +117,39 @@ impl<'a> ShardWorker<'a> {
             sub,
             machine_of,
             laziness,
-            options,
-            seq: 0,
-            lanes: Vec::new(),
+            patience,
+            seq,
+            lanes,
             emitted: Vec::new(),
             buckets: (0..k).map(|_| Vec::new()).collect(),
-            cache: VecDeque::new(),
+            last: None,
         }
-    }
-
-    /// Re-materialises a crashed shard from its last checkpoint: the worker
-    /// starts with `seq` already executed and every checkpointed lane's
-    /// support restored bit-exactly. The coordinator replays the command log
-    /// from `seq + 1` and peers re-send the matching delta rounds
-    /// ([`Message::Assist`]), after which the replacement is
-    /// indistinguishable from a worker that never died.
-    #[allow(clippy::too_many_arguments)] // mirrors `new` plus the restart state
-    pub fn from_checkpoint(
-        id: usize,
-        k: usize,
-        sub: SubCsr,
-        machine_of: &'a [usize],
-        laziness: f64,
-        options: ShardOptions,
-        seq: u64,
-        checkpoint: &[LaneState],
-    ) -> Self {
-        let mut worker = ShardWorker::new(id, k, sub, machine_of, laziness, options);
-        worker.seq = seq;
-        for lane in checkpoint {
-            worker.ensure_lane(lane.lane);
-            worker.lanes[lane.lane as usize]
-                .load_sparse(&lane.support)
-                .expect("checkpointed support is strictly ascending");
-        }
-        worker
     }
 
     /// Runs the blocking message loop until [`Message::Halt`], a patience
     /// timeout, or transport disconnection.
     pub fn run<T: Transport>(mut self, transport: &mut T) {
         // Delta buckets that raced ahead of this shard's own `Step` command
-        // (a peer received its command first, or a recovery assist replayed
-        // a future round), keyed by (seq, sender).
+        // (a peer received its command first), keyed by (seq, sender).
         let mut early: BTreeMap<(u64, usize), Vec<LaneDeltas>> = BTreeMap::new();
-        let mut last_heard = Instant::now();
         loop {
-            let message = match transport.recv_deadline(self.options.patience) {
+            let message = match transport.recv_deadline(self.patience) {
                 Ok(message) => message,
-                Err(TransportError::Timeout) => {
-                    if last_heard.elapsed() >= self.options.patience {
-                        return; // Orphaned: the run is gone, don't block forever.
-                    }
-                    continue;
-                }
-                Err(TransportError::Disconnected) => return,
+                // Orphaned (the run is gone) or disconnected: don't block.
+                Err(TransportError::Timeout | TransportError::Disconnected) => return,
             };
-            last_heard = Instant::now();
             match message {
-                Message::LoadLanes { seq, seeds } => {
+                Message::Step { seq, loads, lanes } => {
                     if seq == self.seq + 1 {
-                        self.load_lanes(&seeds);
-                        self.seq = seq;
-                    } else if seq > self.seq + 1 {
-                        self.nack(transport);
-                    }
-                    // A stale duplicate is ignored: re-running a load would
-                    // reset live walk state.
-                }
-                Message::Step { seq, lanes } => {
-                    if seq == self.seq + 1 {
+                        self.load_lanes(&loads);
                         if !self.step_round(seq, &lanes, transport, &mut early) {
                             return;
                         }
                         self.seq = seq;
-                        self.maybe_checkpoint(transport);
-                    } else if seq > self.seq + 1 {
-                        self.nack(transport);
-                    } else {
-                        // Coordinator retry of a round we completed: its
-                        // `StepDone` (or a peer's deltas) went missing.
-                        self.resend_round(seq, transport, true);
+                    } else if seq == self.seq {
+                        // Coordinator retry of the round we completed: its
+                        // `StepDone` (or one of our buckets) went missing.
+                        self.resend_last(transport);
                     }
                 }
                 Message::Deltas { seq, from, lanes } => {
@@ -223,42 +157,23 @@ impl<'a> ShardWorker<'a> {
                         early.entry((seq, from)).or_insert(lanes);
                     }
                 }
-                Message::Assist {
-                    shard,
-                    from_seq,
-                    to_seq,
-                } => self.assist(shard, from_seq, to_seq, transport),
                 Message::Halt => return,
                 // Stray traffic (chaos-delayed replies addressed elsewhere
                 // on a real network would not even arrive here): ignore.
-                Message::StepDone { .. }
-                | Message::Nack { .. }
-                | Message::Checkpoint { .. }
-                | Message::Busy { .. } => {}
+                Message::StepDone { .. } | Message::Busy { .. } => {}
             }
             early.retain(|&(seq, _), _| seq > self.seq);
         }
     }
 
-    fn nack<T: Transport>(&self, transport: &mut T) {
-        transport.send(
-            Peer::Coordinator,
-            Message::Nack {
-                shard: self.id,
-                expected: self.seq + 1,
-            },
-        );
-    }
-
-    /// Re-sends a completed round's cached artefacts: the outgoing delta
-    /// buckets to every peer and (when `with_reply`) the `StepDone` to the
-    /// coordinator. A round that has aged out of the cache is ignored — the
-    /// coordinator only retries recent rounds.
-    fn resend_round<T: Transport>(&self, seq: u64, transport: &mut T, with_reply: bool) {
-        let Some(entry) = self.cache.iter().find(|c| c.seq == seq) else {
-            return;
-        };
-        for (m, bucket) in entry.outgoing.iter().enumerate() {
+    /// Sends round `seq`'s outgoing buckets to every peer.
+    fn send_buckets<T: Transport>(
+        &self,
+        seq: u64,
+        outgoing: &[Vec<LaneDeltas>],
+        transport: &mut T,
+    ) {
+        for (m, bucket) in outgoing.iter().enumerate() {
             if m != self.id {
                 transport.send(
                     Peer::Shard(m),
@@ -270,56 +185,21 @@ impl<'a> ShardWorker<'a> {
                 );
             }
         }
-        if with_reply {
-            transport.send(
-                Peer::Coordinator,
-                Message::StepDone {
-                    seq,
-                    shard: self.id,
-                    lanes: entry.reply.clone(),
-                },
-            );
-        }
     }
 
-    /// Serves a recovery assist: re-sends the cached outgoing buckets for
-    /// every requested round directly to the recovering shard.
-    fn assist<T: Transport>(&self, shard: usize, from_seq: u64, to_seq: u64, transport: &mut T) {
-        if shard == self.id {
+    /// Re-sends the last completed round: its outgoing buckets to every peer
+    /// and its `StepDone` to the coordinator.
+    fn resend_last<T: Transport>(&self, transport: &mut T) {
+        let Some(last) = &self.last else {
             return;
-        }
-        for entry in &self.cache {
-            if entry.seq >= from_seq && entry.seq <= to_seq {
-                transport.send(
-                    Peer::Shard(shard),
-                    Message::Deltas {
-                        seq: entry.seq,
-                        from: self.id,
-                        lanes: entry.outgoing[shard].clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    fn maybe_checkpoint<T: Transport>(&mut self, transport: &mut T) {
-        let interval = self.options.checkpoint_interval;
-        if interval == 0 || !self.seq.is_multiple_of(interval) {
-            return;
-        }
-        let lanes = (0..self.lanes.len())
-            .map(|lane| LaneState {
-                lane: lane as u32,
-                emitted_messages: 0,
-                support: self.lanes[lane].snapshot_sparse(),
-            })
-            .collect();
+        };
+        self.send_buckets(self.seq, &last.outgoing, transport);
         transport.send(
             Peer::Coordinator,
-            Message::Checkpoint {
+            Message::StepDone {
                 seq: self.seq,
                 shard: self.id,
-                lanes,
+                lanes: last.reply.clone(),
             },
         );
     }
@@ -386,19 +266,8 @@ impl<'a> ShardWorker<'a> {
 
         // Send every peer its bucket (always, even when empty — the barrier
         // counts k − 1 senders); keep our own. The buckets stay cached for
-        // duplicate-triggered re-sends and recovery assists.
-        for (m, bucket) in outgoing.iter().enumerate() {
-            if m != self.id {
-                transport.send(
-                    Peer::Shard(m),
-                    Message::Deltas {
-                        seq,
-                        from: self.id,
-                        lanes: bucket.clone(),
-                    },
-                );
-            }
-        }
+        // retry-triggered re-sends.
+        self.send_buckets(seq, &outgoing, transport);
         let mut incoming: Vec<Vec<LaneDeltas>> = Vec::with_capacity(self.k);
         let mut have = vec![false; self.k];
         have[self.id] = true;
@@ -413,8 +282,8 @@ impl<'a> ShardWorker<'a> {
         }
 
         // Barrier: wait for every peer's bucket for this round, absorbing
-        // duplicates/stale traffic and serving retries and assists so a
-        // faulty transport cannot wedge two shards against each other.
+        // duplicates/stale traffic and answering retries so a faulty
+        // transport cannot wedge two shards against each other.
         let mut waited = Instant::now();
         while incoming.len() < self.k {
             match transport.recv_deadline(Duration::from_millis(20)) {
@@ -423,67 +292,33 @@ impl<'a> ShardWorker<'a> {
                     from,
                     lanes,
                 }) => {
+                    // No peer can be past this round: the coordinator issues
+                    // the next one only after our `StepDone`.
                     waited = Instant::now();
                     if s == seq && !have[from] {
                         have[from] = true;
                         incoming.push(lanes);
-                    } else if s > seq {
-                        early.entry((s, from)).or_insert(lanes);
                     }
                 }
-                Ok(Message::Step { seq: s, .. }) => {
+                Ok(Message::Step { seq: s, .. }) if s == seq => {
                     waited = Instant::now();
-                    if s == seq {
-                        // Coordinator retry of the round we are inside: a
-                        // peer may be missing our buckets — re-send them —
-                        // and tell the coordinator we are alive-but-blocked
-                        // so it recovers the silent peer, not us.
-                        for (m, bucket) in outgoing.iter().enumerate() {
-                            if m != self.id {
-                                transport.send(
-                                    Peer::Shard(m),
-                                    Message::Deltas {
-                                        seq,
-                                        from: self.id,
-                                        lanes: bucket.clone(),
-                                    },
-                                );
-                            }
-                        }
-                        transport.send(
-                            Peer::Coordinator,
-                            Message::Busy {
-                                seq,
-                                shard: self.id,
-                            },
-                        );
-                    } else if s < seq {
-                        self.resend_round(s, transport, true);
-                    } else {
-                        // A retry of a round we have not reached yet (we are
-                        // replaying after recovery): we are alive, just
-                        // behind — say so, or the coordinator re-recovers us.
-                        transport.send(
-                            Peer::Coordinator,
-                            Message::Busy {
-                                seq,
-                                shard: self.id,
-                            },
-                        );
-                    }
-                }
-                Ok(Message::Assist {
-                    shard,
-                    from_seq,
-                    to_seq,
-                }) => {
-                    waited = Instant::now();
-                    self.assist(shard, from_seq, to_seq, transport);
+                    // Coordinator retry of the round we are inside: a peer
+                    // may be missing our buckets — re-send them — and tell
+                    // the coordinator we are alive-but-blocked so it rebuilds
+                    // the silent peer, not us.
+                    self.send_buckets(seq, &outgoing, transport);
+                    transport.send(
+                        Peer::Coordinator,
+                        Message::Busy {
+                            seq,
+                            shard: self.id,
+                        },
+                    );
                 }
                 Ok(Message::Halt) => return false,
                 Ok(_) => {}
                 Err(TransportError::Timeout) => {
-                    if waited.elapsed() >= self.options.patience {
+                    if waited.elapsed() >= self.patience {
                         return false;
                     }
                 }
@@ -513,16 +348,12 @@ impl<'a> ShardWorker<'a> {
                 lanes: reports.clone(),
             },
         );
-        // Our own bucket was consumed by the barrier; rebuild the cached
-        // slot as empty (it is never re-sent to ourselves anyway).
-        self.cache.push_back(RoundCache {
-            seq,
+        // Our own bucket was consumed by the barrier; its slot stays empty
+        // (it is never re-sent to ourselves anyway).
+        self.last = Some(RoundCache {
             outgoing,
             reply: reports,
         });
-        while self.cache.len() > self.options.cache_depth {
-            self.cache.pop_front();
-        }
         true
     }
 }

@@ -11,38 +11,34 @@
 //!
 //! ## Protocol
 //!
-//! One detection pipeline run is a sequence of *commands* from the
-//! coordinator, each processed by every shard in order. Every command
-//! carries a dense global sequence number `seq` (1, 2, 3, …) so that a
-//! lossy or reordering transport is survivable: a shard executes exactly
-//! the commands `last + 1`, treats a replayed `seq ≤ last` as a duplicate
-//! (re-sending its cached replies instead of re-executing), and answers a
-//! gap (`seq > last + 1`) with [`Message::Nack`] so the coordinator can
-//! re-send the missing prefix from its command log.
+//! One detection pipeline run is a sequence of walk rounds, numbered densely
+//! (`seq` = 1, 2, 3, …). The coordinator keeps **at most one round in
+//! flight**: it issues round `seq + 1` only after all `k` shards have
+//! answered round `seq`. A shard therefore only ever sees its next round, a
+//! retry of the round it last finished, or a stale copy of an older one —
+//! never a gap.
 //!
-//! * [`Message::LoadLanes`] — reset the listed walk lanes; the shard homing
-//!   a lane's seed loads the point mass. No direct reply; a gap is caught by
-//!   the `Nack` rule when the next `Step` arrives.
-//! * [`Message::Step`] — one physical walk round for the listed lanes: every
-//!   shard emits its mass deltas ([`cdrw_walk::shard::emit_step_deltas`]),
-//!   sends each peer its bucket in one [`Message::Deltas`], absorbs the
-//!   `k − 1` buckets it receives (plus its own, which never touches the
-//!   wire), and replies [`Message::StepDone`] with its owned slice of every
-//!   stepped lane's support.
-//! * [`Message::Checkpoint`] — shard → coordinator, every few rounds: a
-//!   snapshot of every lane's owned support, enough to re-materialise the
-//!   shard after a crash (see `ShardWorker::from_checkpoint`).
-//! * [`Message::Assist`] — coordinator → shards during recovery: re-send
-//!   your cached outgoing delta buckets for the named rounds to the named
-//!   (re-materialised) shard so it can replay them.
+//! * [`Message::Step`] — coordinator → shards: one physical walk round. The
+//!   shard first resets the lanes listed in `loads` (the shard homing a
+//!   lane's seed loads the point mass), then emits the mass deltas of the
+//!   listed lanes ([`cdrw_walk::shard::emit_step_deltas`]), sends each peer
+//!   its bucket in one [`Message::Deltas`], absorbs the `k − 1` buckets it
+//!   receives (plus its own, which never touches the wire), and replies
+//!   [`Message::StepDone`] with its owned slice of every stepped lane's
+//!   support.
+//! * [`Message::Busy`] — shard → coordinator: the answer to a retry that
+//!   finds the shard still inside the round's exchange barrier.
 //! * [`Message::Halt`] — shut the shard down.
 //!
-//! On a fault-free transport rounds are globally synchronous — the
-//! coordinator collects every `StepDone` before issuing the next command —
-//! so at most one `Deltas` per (sender, receiver) pair is in flight and the
-//! sequence numbers are pure bookkeeping. Under faults (see the
-//! [`chaos`](crate::chaos) module) they are what makes retries idempotent:
-//! duplicates are absorbed by the `(seq, from)` keys, never double-counted.
+//! Every command gets a reply, so the loss of any message shows up as a
+//! coordinator timeout, and the one recovery action is to re-broadcast the
+//! round. A shard that finished the round re-sends its cached buckets and
+//! `StepDone`; one still in the barrier re-sends its buckets and answers
+//! `Busy`. Duplicates are absorbed by the `(seq, from)` keys, never
+//! double-counted. A shard silent past the retry budget is rebuilt from the
+//! coordinator's gathered lanes and redoes the round (see
+//! [`crate::engine`]). On a fault-free transport none of this fires and the
+//! sequence numbers are pure bookkeeping.
 
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, RwLock};
@@ -98,33 +94,29 @@ pub struct LaneState {
 /// A protocol message.
 #[derive(Debug, Clone)]
 pub enum Message {
-    /// Coordinator → shard: reset the listed lanes to fresh point-mass walks.
-    LoadLanes {
-        /// Global command sequence number.
-        seq: u64,
-        /// `(lane, seed)` pairs; every shard resets the lane, the seed's
-        /// home shard loads the mass.
-        seeds: Vec<(u32, VertexId)>,
-    },
-    /// Coordinator → shard: run one walk round for the listed lanes.
+    /// Coordinator → shard: reset the `loads` lanes, then run one walk round
+    /// for the listed lanes.
     Step {
-        /// Global command sequence number.
+        /// The round's sequence number.
         seq: u64,
+        /// `(lane, seed)` pairs to reset to fresh point-mass walks before
+        /// the round; the seed's home shard loads the mass.
+        loads: Vec<(u32, VertexId)>,
         /// Active lanes, ascending.
         lanes: Vec<u32>,
     },
     /// Shard → shard: one round's mass deltas for the receiving shard.
     Deltas {
-        /// The command sequence number of the `Step` these deltas belong to.
+        /// The round these deltas belong to.
         seq: u64,
         /// The sending shard.
         from: usize,
         /// Per-lane delta buckets, ascending by lane.
         lanes: Vec<LaneDeltas>,
     },
-    /// Shard → coordinator: the step round is complete on this shard.
+    /// Shard → coordinator: the round is complete on this shard.
     StepDone {
-        /// The command sequence number of the completed `Step`.
+        /// The completed round.
         seq: u64,
         /// The reporting shard.
         shard: usize,
@@ -132,45 +124,16 @@ pub enum Message {
         /// lane.
         lanes: Vec<LaneState>,
     },
-    /// Shard → shard-coordinator liveness signal: the shard is alive and
-    /// inside the exchange barrier of round `seq` (sent when a coordinator
-    /// retry reaches a shard already working on that round). Distinguishes a
+    /// Shard → coordinator liveness signal: the shard is alive and inside
+    /// the exchange barrier of round `seq` (sent when a coordinator retry
+    /// reaches a shard already working on that round). Distinguishes a
     /// *blocked* shard — waiting on a dead peer's deltas — from a dead one,
-    /// so the coordinator recovers only the truly silent shard.
+    /// so the coordinator rebuilds only the truly silent shard.
     Busy {
         /// The round the shard is working on.
         seq: u64,
         /// The reporting shard.
         shard: usize,
-    },
-    /// Shard → coordinator: a command arrived out of order (`seq` jumped
-    /// past `expected`); re-send the command log from `expected` onwards.
-    Nack {
-        /// The complaining shard.
-        shard: usize,
-        /// The lowest sequence number the shard has not yet executed.
-        expected: u64,
-    },
-    /// Shard → coordinator: a recovery snapshot of every lane's owned
-    /// support, taken after executing command `seq`.
-    Checkpoint {
-        /// The last command sequence number covered by the snapshot.
-        seq: u64,
-        /// The reporting shard.
-        shard: usize,
-        /// Every lane's owned support slice, ascending by lane.
-        lanes: Vec<LaneState>,
-    },
-    /// Coordinator → shards: shard `shard` was re-materialised and is
-    /// replaying commands `from_seq..=to_seq`; re-send it your cached
-    /// outgoing delta buckets for those rounds.
-    Assist {
-        /// The recovering shard.
-        shard: usize,
-        /// First command sequence number being replayed.
-        from_seq: u64,
-        /// Last command sequence number being replayed.
-        to_seq: u64,
     },
     /// Coordinator → shard: shut down.
     Halt,
@@ -305,11 +268,12 @@ impl CoordinatorLinks {
     }
 }
 
-/// A handle that can mint a replacement [`MpscTransport`] for a crashed
-/// shard: a fresh inbox is created and the shared routing table's slot is
-/// swapped, so from that moment every peer's sends to the shard reach the
-/// replacement. The old shard's inbox goes quiet and its worker exits by
-/// patience timeout.
+/// A handle that can mint a replacement [`MpscTransport`] for a shard the
+/// coordinator has given up on: a fresh inbox is created and the shared
+/// routing table's slot is swapped, so from that moment every peer's and
+/// the coordinator's sends to the shard reach the replacement, which is
+/// rebuilt from the coordinator's gathered lanes. The old inbox loses its
+/// last sender, so its worker, if still alive, sees a disconnect and exits.
 ///
 /// Holding a reconnector keeps the coordinator inbox's channel alive, so
 /// coordinators that own one must use deadline-bounded receives.
@@ -431,6 +395,7 @@ mod tests {
         // Broadcast reaches both shards.
         links.broadcast(&Message::Step {
             seq: 2,
+            loads: vec![(0, 1)],
             lanes: vec![0],
         });
         for t in &mut transports {
@@ -490,19 +455,10 @@ mod tests {
             Err(TransportError::Disconnected)
         ));
         // The replacement still reaches the coordinator.
-        replacement.send(
-            Peer::Coordinator,
-            Message::Nack {
-                shard: 1,
-                expected: 2,
-            },
-        );
+        replacement.send(Peer::Coordinator, Message::Busy { seq: 3, shard: 1 });
         assert!(matches!(
             links.recv(),
-            Ok(Message::Nack {
-                shard: 1,
-                expected: 2
-            })
+            Ok(Message::Busy { seq: 3, shard: 1 })
         ));
     }
 }

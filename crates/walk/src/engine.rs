@@ -967,11 +967,12 @@ impl WalkWorkspace {
     }
 
     /// Snapshots the sparse state as sorted `(vertex, mass)` entries — the
-    /// checkpointable lane state of the sharded runtime. The support list is
-    /// kept ascending by every load/absorb path, so feeding the snapshot
-    /// back through [`WalkWorkspace::load_sparse`] reproduces the workspace
-    /// bit for bit, including zero-mass support entries: a checkpoint-
-    /// restored shard emits exactly the deltas the lost shard would have.
+    /// lane state a shard of the sharded runtime reports each round. The
+    /// support list is kept ascending by every load/absorb path, so feeding
+    /// the snapshot back through [`WalkWorkspace::load_sparse`] reproduces
+    /// the workspace bit for bit, including zero-mass support entries: a
+    /// shard rebuilt from the gathered snapshots emits exactly the deltas the
+    /// lost shard would have.
     pub fn snapshot_sparse(&self) -> Vec<(VertexId, f64)> {
         debug_assert!(
             self.support.windows(2).all(|w| w[0] < w[1]),
